@@ -1419,10 +1419,12 @@ pub(crate) fn run_round(
         );
         state.maybe_sample(cfg, pool.coverage_map());
     }
-    // Feedback drives the fuzzer's learning (PPO updates, predictor
-    // fine-tuning); what is left after subtracting difftest is pure
-    // training cost. Difftest itself runs inside the pool workers, so
-    // its wall-clock is collected from the per-case timings.
+    // `phase.train.seconds` is the whole wall-clock of the accounting
+    // and feedback loop above (feedback drives the fuzzer's learning:
+    // PPO updates, predictor fine-tuning); nothing is subtracted from
+    // it. Difftest is not part of it: it runs inside the pool workers
+    // during execute, and `phase.difftest.seconds` sums the per-case
+    // timings collected there.
     metrics.observe("phase.difftest.seconds", difftest_seconds);
     metrics.observe("phase.train.seconds", train_started.elapsed().as_secs_f64());
     metrics.inc("campaign.rounds", 1);

@@ -25,6 +25,11 @@
 //!   member-index order — a commutative, associative bitmap union whose
 //!   result depends only on the members' cumulative sets.
 //!
+//! All of this is one epoch engine, shared with
+//! [`crate::fleet_dist::run_fleet_dist`]: the two entry points differ
+//! only in the member runner that executes the slices (inline here, on
+//! workers there).
+//!
 //! # Determinism contract
 //!
 //! Everything the fleet reports outside of wall-clock metrics is a
@@ -49,6 +54,7 @@
 //! [`FleetSpecBuilder::resume_from`] reproduces the uninterrupted fleet
 //! bit for bit.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -443,7 +449,7 @@ impl FleetResult {
 #[must_use]
 pub(crate) fn reallocate(total: u64, rates_milli: &[u64]) -> Vec<u64> {
     let n = rates_milli.len() as u64;
-    debug_assert!(n > 0 && total >= n, "validated by run_fleet");
+    debug_assert!(n > 0 && total >= n, "validated by FleetEngine::start");
     let min_each = (total / (4 * n)).max(1);
     let pool = total - min_each * n;
     let weights: Vec<u128> = rates_milli.iter().map(|&r| u128::from(r) + 1).collect();
@@ -467,49 +473,6 @@ pub(crate) fn reallocate(total: u64, rates_milli: &[u64]) -> Vec<u64> {
     budgets
 }
 
-/// Computes the fleet's merged coverage sample: member cumulative
-/// bitmaps are unioned per core in member-index order (union is
-/// commutative and associative, so the grouping is only an
-/// implementation convenience), counted against the first map of each
-/// core, and signatures are deduplicated across all members.
-/// `cores[i]` and `maps[i]` describe member `i`; the distributed
-/// coordinator calls this with coordinator-side reference maps, the
-/// in-process fleet with its pools' maps — the result only depends on
-/// the member states.
-pub(crate) fn merged_sample(
-    epoch: u64,
-    cores: &[CoreKind],
-    states: &[CampaignState],
-    maps: &[&CoverageMap],
-) -> FleetSample {
-    let mut groups: Vec<(CoreKind, usize, CoverageSnapshot)> = Vec::new();
-    for (index, &core) in cores.iter().enumerate() {
-        match groups.iter_mut().find(|(c, _, _)| *c == core) {
-            Some((_, _, union)) => union.union_with(&states[index].cumulative),
-            None => groups.push((core, index, states[index].cumulative.clone())),
-        }
-    }
-    let (mut condition, mut line, mut fsm) = (0usize, 0usize, 0usize);
-    for (_, map_index, union) in &groups {
-        let map = maps[*map_index];
-        condition += union.count_of(map, CoverageKind::Condition);
-        line += union.count_of(map, CoverageKind::Line);
-        fsm += union.count_of(map, CoverageKind::Fsm);
-    }
-    let mut signatures: BTreeSet<Signature> = BTreeSet::new();
-    for state in states {
-        signatures.extend(state.signatures.sorted_signatures());
-    }
-    FleetSample {
-        epoch,
-        cases: states.iter().map(|s| s.executed).sum(),
-        condition,
-        line,
-        fsm,
-        unique_signatures: signatures.len(),
-    }
-}
-
 /// A fleet member's identity as the checkpoint (and the wire protocol)
 /// sees it: core, display name and fuzzer name. The in-process fleet
 /// derives these from live [`FleetMember`]s, the distributed
@@ -522,248 +485,542 @@ pub(crate) struct MemberIdent {
     pub(crate) fuzzer: String,
 }
 
-impl MemberIdent {
-    fn of(member: &FleetMember) -> MemberIdent {
-        MemberIdent {
-            core: member.core,
-            name: member.name.clone(),
-            fuzzer: member.fuzzer.name().to_owned(),
+/// One member's contribution to an epoch close.
+pub(crate) struct MemberReport {
+    /// Cases granted to the reported slice (the denominator of the
+    /// member's marginal rate).
+    pub(crate) granted: u64,
+    /// The member's cumulative coverage count when that slice began.
+    pub(crate) covered_before: usize,
+    /// The slice's coverage-gaining cases, bound for the shared corpus.
+    pub(crate) harvest: Vec<HarvestedCase>,
+}
+
+/// Where a fleet's member slices run: inline ([`run_fleet`]) or on
+/// workers (`crate::fleet_dist`'s coordinator). A runner decides only
+/// where slices execute and which members report at each close;
+/// everything the fleet reports is decided by the [`FleetEngine`].
+pub(crate) trait MemberRunner {
+    /// The coverage map member `index`'s counts are taken against.
+    fn coverage_map(&self, index: usize) -> &CoverageMap;
+
+    /// Runs epoch `epoch` with `budgets[i]` cases granted to member `i`
+    /// and returns, in member order, each member's report for this
+    /// close (`None` for a member that does not report). The states of
+    /// reporting members come back advanced. An error ends the fleet
+    /// without closing the epoch.
+    fn run_epoch(
+        &mut self,
+        epoch: u64,
+        budgets: &[u64],
+        states: &mut [CampaignState],
+        metrics: &mut Metrics,
+    ) -> Result<Vec<Option<MemberReport>>, RunError>;
+
+    /// Every member's `Fuzzer::save_state` bytes, for a snapshot.
+    fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError>;
+
+    /// Installs the fuzzer states read from a resume snapshot.
+    fn load_fuzzers(&mut self, blobs: Vec<Vec<u8>>) -> Result<(), RunError>;
+}
+
+/// Runs one member's epoch slice of `budget` cases through the shared
+/// round engine and returns the cases that grew its coverage. The slice
+/// is a one-off campaign whose `cases` and `sample_every` both equal the
+/// member's cumulative target, so the round engine stops exactly at the
+/// epoch boundary and samples the member's curve exactly once there.
+/// The in-process runner and `crate::fleet_dist::run_worker` both call
+/// this, so their slices are the same computation.
+pub(crate) fn run_member_slice(
+    fuzzer: &mut dyn Fuzzer,
+    pool: &mut ExecPool,
+    run: RunConfig,
+    budget: u64,
+    metrics: &mut Metrics,
+    state: &mut CampaignState,
+) -> Result<Vec<HarvestedCase>, RunError> {
+    let target = state.executed + budget;
+    let slice = CampaignConfig {
+        cases: target,
+        sample_every: target,
+        run,
+    };
+    // Member fuzzers run silent: the fleet log holds fleet events only.
+    let silent = SinkHandle::null();
+    let mut harvest = Vec::new();
+    while state.executed < target {
+        run_round(
+            fuzzer,
+            pool,
+            &slice,
+            run.threads,
+            &silent,
+            metrics,
+            state,
+            Some(&mut harvest),
+        )?;
+    }
+    Ok(harvest)
+}
+
+/// The in-process runner: the live members, one [`ExecPool`] each,
+/// slices run inline in member order.
+struct LocalRunner<'m> {
+    members: &'m mut [FleetMember],
+    pools: Vec<ExecPool>,
+    run: RunConfig,
+}
+
+impl MemberRunner for LocalRunner<'_> {
+    fn coverage_map(&self, index: usize) -> &CoverageMap {
+        self.pools[index].coverage_map()
+    }
+
+    fn run_epoch(
+        &mut self,
+        _epoch: u64,
+        budgets: &[u64],
+        states: &mut [CampaignState],
+        metrics: &mut Metrics,
+    ) -> Result<Vec<Option<MemberReport>>, RunError> {
+        let slices = self.members.iter_mut().zip(&mut self.pools);
+        let mut reports = Vec::with_capacity(budgets.len());
+        for ((member, pool), (state, &budget)) in slices.zip(states.iter_mut().zip(budgets)) {
+            let covered_before = state.cumulative.count();
+            let harvest = run_member_slice(
+                member.fuzzer.as_mut(),
+                pool,
+                self.run,
+                budget,
+                metrics,
+                state,
+            )?;
+            reports.push(Some(MemberReport {
+                granted: budget,
+                covered_before,
+                harvest,
+            }));
         }
+        Ok(reports)
+    }
+
+    fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError> {
+        self.members
+            .iter()
+            .map(|member| {
+                let mut blob = Vec::new();
+                member.fuzzer.save_state(&mut blob)?;
+                Ok(blob)
+            })
+            .collect::<Result<_, RunError>>()
+            .map(Cow::Owned)
+    }
+
+    fn load_fuzzers(&mut self, blobs: Vec<Vec<u8>>) -> Result<(), RunError> {
+        for (member, blob) in self.members.iter_mut().zip(&blobs) {
+            member.fuzzer.load_state(&mut blob.as_slice())?;
+        }
+        Ok(())
     }
 }
 
-/// Writes one atomic fleet snapshot from already-serialised member
-/// parts (see `DESIGN.md` for the layout). `fuzzer_blobs[i]` is member
-/// `i`'s `Fuzzer::save_state` bytes — the distributed coordinator holds
-/// members in exactly this form, and the in-process fleet serialises
-/// its live fuzzers into it, so both paths produce byte-identical
-/// snapshots for the same fleet state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_fleet_checkpoint_parts(
-    policy: &CheckpointPolicy,
-    spec: &FleetSpec,
-    idents: &[MemberIdent],
-    states: &[CampaignState],
-    fuzzer_blobs: &[Vec<u8>],
-    corpus: &GlobalCorpus,
-    budgets: &[u64],
-    merged_curve: &[FleetSample],
+/// The fleet's one epoch engine, behind both [`run_fleet`] and
+/// `crate::fleet_dist::run_fleet_dist`. It owns the member states, the
+/// shared corpus, the budgets, the merged curve, the epoch counter and
+/// the metrics; it folds every close's reports in member-index order,
+/// emits every fleet event and writes every snapshot. A
+/// [`MemberRunner`] only runs the slices.
+pub(crate) struct FleetEngine<'s> {
+    spec: &'s FleetSpec,
+    idents: Vec<MemberIdent>,
+    states: Vec<CampaignState>,
+    corpus: GlobalCorpus,
+    budgets: Vec<u64>,
+    merged_curve: Vec<FleetSample>,
     epoch: u64,
-    metrics: &Metrics,
-) -> Result<(), RunError> {
-    std::fs::create_dir_all(policy.dir()).map_err(PersistError::Io)?;
-    let cfg = spec.config();
-    let mut snap = SnapshotWriter::new(FLEET_CHECKPOINT_KIND);
-    snap.section("spec", |w| {
-        write_u64(w, cfg.epochs)?;
-        write_u64(w, cfg.cases_per_epoch)?;
-        write_u64(w, cfg.run.max_steps)?;
-        write_u64(w, cfg.run.batch as u64)?;
-        write_usize(w, spec.corpus_capacity())?;
-        write_usize(w, idents.len())?;
-        for ident in idents {
-            write_u32(w, core_index(ident.core))?;
-            write_string(w, &ident.name)?;
-            write_string(w, &ident.fuzzer)?;
+    metrics: Metrics,
+}
+
+impl<'s> FleetEngine<'s> {
+    /// Validates the line-up against the budget, then starts fresh or
+    /// resumes from the spec's snapshot (handing the snapshot's fuzzer
+    /// states to `runner`).
+    pub(crate) fn start(
+        spec: &'s FleetSpec,
+        idents: Vec<MemberIdent>,
+        runner: &mut dyn MemberRunner,
+    ) -> Result<FleetEngine<'s>, RunError> {
+        let cfg = spec.config();
+        if idents.is_empty() {
+            return Err(RunError::NoMembers);
+        }
+        if cfg.cases_per_epoch < idents.len() as u64 {
+            return Err(RunError::BudgetTooSmall {
+                members: idents.len(),
+                cases_per_epoch: cfg.cases_per_epoch,
+            });
+        }
+        let mut engine = FleetEngine {
+            spec,
+            states: (0..idents.len())
+                .map(|index| CampaignState::fresh(runner.coverage_map(index).len()))
+                .collect(),
+            corpus: GlobalCorpus::new(spec.corpus_capacity()),
+            // The first epoch has no rates to differentiate: every
+            // member gets the even largest-remainder split.
+            budgets: reallocate(cfg.cases_per_epoch, &vec![0; idents.len()]),
+            merged_curve: Vec::new(),
+            epoch: 0,
+            metrics: Metrics::new(),
+            idents,
+        };
+        if let Some(snapshot) = spec.resume_from() {
+            let fuzzer_blobs = engine.restore(snapshot)?;
+            runner.load_fuzzers(fuzzer_blobs)?;
+        }
+        Ok(engine)
+    }
+
+    /// Runs epochs until the budget is spent or a stop is requested,
+    /// writing the periodic and operator-requested snapshots.
+    pub(crate) fn run_epochs(&mut self, runner: &mut dyn MemberRunner) -> Result<(), RunError> {
+        let spec = self.spec;
+        let sink = spec.sink();
+        let epochs = spec.config().epochs;
+        while self.epoch < epochs && !spec.stop_requested() {
+            if sink.enabled() {
+                sink.emit(&Event::EpochStart {
+                    epoch: self.epoch,
+                    members: self.idents.len() as u64,
+                    planned: self.budgets.iter().sum(),
+                });
+            }
+            let reports = runner.run_epoch(
+                self.epoch,
+                &self.budgets,
+                &mut self.states,
+                &mut self.metrics,
+            )?;
+            self.close_epoch(runner, reports);
+            // Periodic (and operator-requested) checkpoints land on epoch
+            // boundaries, where every member sits at a round boundary with
+            // empty pending queues. The checkpoint-now request is claimed
+            // even without a policy so a stale request cannot linger.
+            let requested = spec.take_checkpoint_request();
+            if let Some(policy) = spec.checkpoint() {
+                let periodic = self.epoch.is_multiple_of(policy.every_rounds());
+                if (periodic || requested) && self.epoch < epochs {
+                    self.write_checkpoint(policy, runner)?;
+                }
+            }
         }
         Ok(())
-    })?;
-    snap.section("progress", |w| {
-        write_u64(w, epoch)?;
-        write_usize(w, budgets.len())?;
-        for budget in budgets {
-            write_u64(w, *budget)?;
+    }
+
+    /// Closes the current epoch: folds `reports` in member-index order
+    /// (never arrival order) into the corpus and the marginal rates,
+    /// distills the corpus, reallocates the budgets and appends the
+    /// merged sample. A member without a report scores a zero rate —
+    /// the scheduler's floor still grants it cases — and gets no
+    /// `member_progress` event.
+    fn close_epoch(&mut self, runner: &dyn MemberRunner, reports: Vec<Option<MemberReport>>) {
+        let spec = self.spec;
+        let sink = spec.sink();
+        let epoch = self.epoch;
+        let stats_before = self.corpus.stats();
+        let mut rates = vec![0u64; self.idents.len()];
+        let mut sync_seconds = 0.0f64;
+        for (index, report) in reports.into_iter().enumerate() {
+            let Some(report) = report else {
+                continue;
+            };
+            let sync_started = Instant::now();
+            let name = &self.idents[index].name;
+            for case in report.harvest {
+                self.corpus.insert(
+                    format!("{name}-case-{}", case.case),
+                    case.body,
+                    case.coverage,
+                );
+            }
+            sync_seconds += sync_started.elapsed().as_secs_f64();
+            let state = &self.states[index];
+            let gained = (state.cumulative.count() - report.covered_before) as u64;
+            rates[index] = gained * 1000 / report.granted.max(1);
+            self.metrics.inc("fleet.cases", report.granted);
+            if sink.enabled() {
+                let map = runner.coverage_map(index);
+                sink.emit(&Event::MemberProgress {
+                    epoch,
+                    member: index as u64,
+                    executed: state.executed,
+                    condition: state.cumulative.count_of(map, CoverageKind::Condition) as u64,
+                    line: state.cumulative.count_of(map, CoverageKind::Line) as u64,
+                    fsm: state.cumulative.count_of(map, CoverageKind::Fsm) as u64,
+                    unique_signatures: state.signatures.unique() as u64,
+                });
+            }
         }
-        Ok(())
-    })?;
-    snap.section("corpus", |w| corpus.save(w))?;
-    snap.section("merged", |w| {
-        write_usize(w, merged_curve.len())?;
-        for sample in merged_curve {
-            write_u64(w, sample.epoch)?;
-            write_u64(w, sample.cases)?;
-            write_u64(w, sample.condition as u64)?;
-            write_u64(w, sample.line as u64)?;
-            write_u64(w, sample.fsm as u64)?;
-            write_u64(w, sample.unique_signatures as u64)?;
+        self.metrics.observe("fleet.sync.seconds", sync_seconds);
+
+        let distill_started = Instant::now();
+        let (distilled_from, distilled_to) = self.corpus.distill();
+        self.metrics
+            .observe_duration("fleet.distill.seconds", distill_started.elapsed());
+        let stats_after = self.corpus.stats();
+        if sink.enabled() {
+            sink.emit(&Event::CorpusSync {
+                epoch,
+                inserted: stats_after.inserted - stats_before.inserted,
+                duplicates: stats_after.duplicates - stats_before.duplicates,
+                evicted: stats_after.evicted - stats_before.evicted,
+                distilled_from: distilled_from as u64,
+                distilled_to: distilled_to as u64,
+            });
         }
-        Ok(())
-    })?;
-    for (index, (state, blob)) in states.iter().zip(fuzzer_blobs).enumerate() {
-        snap.section(&format!("member{index}"), |w| {
-            state.save(w)?;
-            w.extend_from_slice(blob);
+
+        let schedule_started = Instant::now();
+        self.budgets = reallocate(spec.config().cases_per_epoch, &rates);
+        self.metrics
+            .observe_duration("fleet.schedule.seconds", schedule_started.elapsed());
+        if sink.enabled() {
+            for (index, (&cases, &rate_milli)) in self.budgets.iter().zip(&rates).enumerate() {
+                sink.emit(&Event::BudgetRealloc {
+                    epoch,
+                    member: index as u64,
+                    cases,
+                    rate_milli,
+                });
+            }
+        }
+
+        let sample = self.merged_sample(runner);
+        self.merged_curve.push(sample);
+        if sink.enabled() {
+            sink.emit(&Event::EpochEnd {
+                epoch,
+                executed: sample.cases,
+                condition: sample.condition as u64,
+                line: sample.line as u64,
+                fsm: sample.fsm as u64,
+                unique_signatures: sample.unique_signatures as u64,
+            });
+        }
+        self.metrics.inc("fleet.epochs", 1);
+        self.epoch += 1;
+    }
+
+    /// The merged coverage sample of the current epoch: member
+    /// cumulative bitmaps are unioned per core in member-index order
+    /// (union is commutative and associative, so the grouping is only an
+    /// implementation convenience), counted against the first map of
+    /// each core, and signatures are deduplicated across all members.
+    fn merged_sample(&self, runner: &dyn MemberRunner) -> FleetSample {
+        let mut groups: Vec<(CoreKind, usize, CoverageSnapshot)> = Vec::new();
+        for (index, (ident, state)) in self.idents.iter().zip(&self.states).enumerate() {
+            match groups.iter_mut().find(|(core, _, _)| *core == ident.core) {
+                Some((_, _, union)) => union.union_with(&state.cumulative),
+                None => groups.push((ident.core, index, state.cumulative.clone())),
+            }
+        }
+        let (mut condition, mut line, mut fsm) = (0usize, 0usize, 0usize);
+        for (_, map_index, union) in &groups {
+            let map = runner.coverage_map(*map_index);
+            condition += union.count_of(map, CoverageKind::Condition);
+            line += union.count_of(map, CoverageKind::Line);
+            fsm += union.count_of(map, CoverageKind::Fsm);
+        }
+        let mut signatures: BTreeSet<Signature> = BTreeSet::new();
+        for state in &self.states {
+            signatures.extend(state.signatures.sorted_signatures());
+        }
+        FleetSample {
+            epoch: self.epoch,
+            cases: self.states.iter().map(|s| s.executed).sum(),
+            condition,
+            line,
+            fsm,
+            unique_signatures: signatures.len(),
+        }
+    }
+
+    /// Writes one atomic fleet snapshot (see `DESIGN.md` for the
+    /// layout). Fuzzers go in as the runner's serialised blobs — the
+    /// form the distributed coordinator holds them in — so in-process
+    /// and distributed snapshots of one fleet state are byte-identical.
+    fn write_checkpoint(
+        &self,
+        policy: &CheckpointPolicy,
+        runner: &dyn MemberRunner,
+    ) -> Result<(), RunError> {
+        let fuzzer_blobs = runner.fuzzer_blobs()?;
+        std::fs::create_dir_all(policy.dir()).map_err(PersistError::Io)?;
+        let spec = self.spec;
+        let cfg = spec.config();
+        let mut snap = SnapshotWriter::new(FLEET_CHECKPOINT_KIND);
+        snap.section("spec", |w| {
+            write_u64(w, cfg.epochs)?;
+            write_u64(w, cfg.cases_per_epoch)?;
+            write_u64(w, cfg.run.max_steps)?;
+            write_u64(w, cfg.run.batch as u64)?;
+            write_usize(w, spec.corpus_capacity())?;
+            write_usize(w, self.idents.len())?;
+            for ident in &self.idents {
+                write_u32(w, core_index(ident.core))?;
+                write_string(w, &ident.name)?;
+                write_string(w, &ident.fuzzer)?;
+            }
             Ok(())
         })?;
+        snap.section("progress", |w| {
+            write_u64(w, self.epoch)?;
+            write_usize(w, self.budgets.len())?;
+            for budget in &self.budgets {
+                write_u64(w, *budget)?;
+            }
+            Ok(())
+        })?;
+        snap.section("corpus", |w| self.corpus.save(w))?;
+        snap.section("merged", |w| {
+            write_usize(w, self.merged_curve.len())?;
+            for sample in &self.merged_curve {
+                write_u64(w, sample.epoch)?;
+                write_u64(w, sample.cases)?;
+                write_u64(w, sample.condition as u64)?;
+                write_u64(w, sample.line as u64)?;
+                write_u64(w, sample.fsm as u64)?;
+                write_u64(w, sample.unique_signatures as u64)?;
+            }
+            Ok(())
+        })?;
+        for (index, (state, blob)) in self.states.iter().zip(fuzzer_blobs.iter()).enumerate() {
+            snap.section(&format!("member{index}"), |w| {
+                state.save(w)?;
+                w.extend_from_slice(blob);
+                Ok(())
+            })?;
+        }
+        snap.section("metrics", |w| write_metrics(w, &self.metrics.snapshot()))?;
+        snap.write_atomic(&policy.fleet_snapshot_path())?;
+        Ok(())
     }
-    snap.section("metrics", |w| write_metrics(w, &metrics.snapshot()))?;
-    snap.write_atomic(&policy.fleet_snapshot_path())?;
-    Ok(())
-}
 
-/// Writes one atomic fleet snapshot from live members.
-#[allow(clippy::too_many_arguments)]
-fn write_fleet_checkpoint(
-    policy: &CheckpointPolicy,
-    spec: &FleetSpec,
-    members: &[FleetMember],
-    states: &[CampaignState],
-    corpus: &GlobalCorpus,
-    budgets: &[u64],
-    merged_curve: &[FleetSample],
-    epoch: u64,
-    metrics: &Metrics,
-) -> Result<(), RunError> {
-    let idents: Vec<MemberIdent> = members.iter().map(MemberIdent::of).collect();
-    let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(members.len());
-    for member in members {
-        let mut blob = Vec::new();
-        member.fuzzer.save_state(&mut blob)?;
-        blobs.push(blob);
-    }
-    write_fleet_checkpoint_parts(
-        policy,
-        spec,
-        &idents,
-        states,
-        &blobs,
-        corpus,
-        budgets,
-        merged_curve,
-        epoch,
-        metrics,
-    )
-}
-
-/// A fleet checkpoint's contents, decoded but with fuzzer state still
-/// serialised (the distributed coordinator ships those blobs to workers
-/// as-is; the in-process fleet feeds them to `Fuzzer::load_state`).
-pub(crate) struct RestoredFleet {
-    pub(crate) states: Vec<CampaignState>,
-    pub(crate) fuzzer_blobs: Vec<Vec<u8>>,
-    pub(crate) corpus: GlobalCorpus,
-    pub(crate) budgets: Vec<u64>,
-    pub(crate) merged_curve: Vec<FleetSample>,
-    pub(crate) epoch: u64,
-    pub(crate) metrics: Metrics,
-}
-
-/// Reads a fleet checkpoint, validating it against the spec and the
-/// expected member line-up.
-pub(crate) fn restore_fleet_checkpoint_parts(
-    path: &Path,
-    spec: &FleetSpec,
-    idents: &[MemberIdent],
-    map_lens: &[usize],
-) -> Result<RestoredFleet, RunError> {
-    let snap = SnapshotReader::read_path(path)?;
-    snap.expect_kind(FLEET_CHECKPOINT_KIND)?;
-    let cfg = spec.config();
-
-    let mut r = snap.section("spec")?;
-    if read_u64(&mut r)? != cfg.epochs
-        || read_u64(&mut r)? != cfg.cases_per_epoch
-        || read_u64(&mut r)? != cfg.run.max_steps
-        || read_u64(&mut r)? != cfg.run.batch as u64
-        || read_usize(&mut r, 1 << 24, "corpus capacity")? != spec.corpus_capacity()
-        || read_usize(&mut r, 1 << 16, "member count")? != idents.len()
-    {
-        return Err(corrupt("checkpoint was taken under a different fleet spec").into());
-    }
-    for ident in idents {
-        if read_u32(&mut r)? != core_index(ident.core)
-            || read_string(&mut r)? != ident.name
-            || read_string(&mut r)? != ident.fuzzer
-        {
-            return Err(corrupt(format!(
-                "checkpoint member line-up does not include {:?} ({})",
-                ident.name, ident.fuzzer
-            ))
-            .into());
+    /// Writes the final (or graceful-shutdown) snapshot when the spec
+    /// enables checkpointing.
+    pub(crate) fn write_final_checkpoint(&self, runner: &dyn MemberRunner) -> Result<(), RunError> {
+        match self.spec.checkpoint() {
+            Some(policy) => self.write_checkpoint(policy, runner),
+            None => Ok(()),
         }
     }
 
-    let mut r = snap.section("progress")?;
-    let epoch = read_u64(&mut r)?;
-    let n = read_usize(&mut r, 1 << 16, "budget count")?;
-    if n != idents.len() {
-        return Err(corrupt("checkpoint budget vector does not match the members").into());
-    }
-    let budgets = (0..n)
-        .map(|_| read_u64(&mut r))
-        .collect::<Result<_, PersistError>>()?;
+    /// Restores the engine from a fleet snapshot after validating it
+    /// against the spec and the member line-up. Returns the members'
+    /// fuzzer states, still serialised (the distributed coordinator
+    /// ships them to workers as-is).
+    fn restore(&mut self, path: &Path) -> Result<Vec<Vec<u8>>, RunError> {
+        let snap = SnapshotReader::read_path(path)?;
+        snap.expect_kind(FLEET_CHECKPOINT_KIND)?;
+        let cfg = self.spec.config();
 
-    let mut r = snap.section("corpus")?;
-    let corpus = GlobalCorpus::load(&mut r)?;
+        let mut r = snap.section("spec")?;
+        if read_u64(&mut r)? != cfg.epochs
+            || read_u64(&mut r)? != cfg.cases_per_epoch
+            || read_u64(&mut r)? != cfg.run.max_steps
+            || read_u64(&mut r)? != cfg.run.batch as u64
+            || read_usize(&mut r, 1 << 24, "corpus capacity")? != self.spec.corpus_capacity()
+            || read_usize(&mut r, 1 << 16, "member count")? != self.idents.len()
+        {
+            return Err(corrupt("checkpoint was taken under a different fleet spec").into());
+        }
+        for ident in &self.idents {
+            if read_u32(&mut r)? != core_index(ident.core)
+                || read_string(&mut r)? != ident.name
+                || read_string(&mut r)? != ident.fuzzer
+            {
+                return Err(corrupt(format!(
+                    "checkpoint member line-up does not include {:?} ({})",
+                    ident.name, ident.fuzzer
+                ))
+                .into());
+            }
+        }
 
-    let mut r = snap.section("merged")?;
-    let samples = read_usize(&mut r, 1 << 24, "merged curve length")?;
-    let merged_curve = (0..samples)
-        .map(|_| {
-            Ok(FleetSample {
-                epoch: read_u64(&mut r)?,
-                cases: read_u64(&mut r)?,
-                condition: read_u64(&mut r)? as usize,
-                line: read_u64(&mut r)? as usize,
-                fsm: read_u64(&mut r)? as usize,
-                unique_signatures: read_u64(&mut r)? as usize,
+        let mut r = snap.section("progress")?;
+        self.epoch = read_u64(&mut r)?;
+        let n = read_usize(&mut r, 1 << 16, "budget count")?;
+        if n != self.idents.len() {
+            return Err(corrupt("checkpoint budget vector does not match the members").into());
+        }
+        self.budgets = (0..n)
+            .map(|_| read_u64(&mut r))
+            .collect::<Result<_, PersistError>>()?;
+
+        let mut r = snap.section("corpus")?;
+        self.corpus = GlobalCorpus::load(&mut r)?;
+
+        let mut r = snap.section("merged")?;
+        let samples = read_usize(&mut r, 1 << 24, "merged curve length")?;
+        self.merged_curve = (0..samples)
+            .map(|_| {
+                Ok(FleetSample {
+                    epoch: read_u64(&mut r)?,
+                    cases: read_u64(&mut r)?,
+                    condition: read_u64(&mut r)? as usize,
+                    line: read_u64(&mut r)? as usize,
+                    fsm: read_u64(&mut r)? as usize,
+                    unique_signatures: read_u64(&mut r)? as usize,
+                })
             })
-        })
-        .collect::<Result<_, PersistError>>()?;
+            .collect::<Result<_, PersistError>>()?;
 
-    let mut states = Vec::with_capacity(idents.len());
-    let mut fuzzer_blobs = Vec::with_capacity(idents.len());
-    for (index, &map_len) in map_lens.iter().enumerate() {
-        let mut r = snap.section(&format!("member{index}"))?;
-        states.push(CampaignState::load(&mut r, map_len)?);
-        // The rest of the section is the fuzzer's own state, kept
-        // serialised until someone needs the live fuzzer.
-        fuzzer_blobs.push(r.to_vec());
+        let mut fuzzer_blobs = Vec::with_capacity(self.states.len());
+        for (index, state) in self.states.iter_mut().enumerate() {
+            let mut r = snap.section(&format!("member{index}"))?;
+            *state = CampaignState::load(&mut r, state.cumulative.len())?;
+            // The rest of the section is the fuzzer's own state, kept
+            // serialised until someone needs the live fuzzer.
+            fuzzer_blobs.push(r.to_vec());
+        }
+
+        let mut r = snap.section("metrics")?;
+        self.metrics = read_metrics(&mut r)?;
+        Ok(fuzzer_blobs)
     }
 
-    let mut r = snap.section("metrics")?;
-    let metrics = read_metrics(&mut r)?;
-    Ok(RestoredFleet {
-        states,
-        fuzzer_blobs,
-        corpus,
-        budgets,
-        merged_curve,
-        epoch,
-        metrics,
-    })
-}
-
-/// Restores a fleet checkpoint into the members, states, corpus, budgets,
-/// merged curve and metrics, after validating it matches the spec and
-/// member line-up.
-#[allow(clippy::too_many_arguments)]
-fn restore_fleet_checkpoint(
-    path: &Path,
-    spec: &FleetSpec,
-    members: &mut [FleetMember],
-    map_lens: &[usize],
-    states: &mut [CampaignState],
-    corpus: &mut GlobalCorpus,
-    budgets: &mut Vec<u64>,
-    merged_curve: &mut Vec<FleetSample>,
-    epoch: &mut u64,
-    metrics: &mut Metrics,
-) -> Result<(), RunError> {
-    let idents: Vec<MemberIdent> = members.iter().map(MemberIdent::of).collect();
-    let restored = restore_fleet_checkpoint_parts(path, spec, &idents, map_lens)?;
-    for (member, blob) in members.iter_mut().zip(&restored.fuzzer_blobs) {
-        member.fuzzer.load_state(&mut blob.as_slice())?;
+    /// Flushes the sink and builds the run's [`FleetResult`].
+    pub(crate) fn into_result(self) -> FleetResult {
+        let sink = self.spec.sink();
+        sink.flush();
+        let sink_error = sink.take_error().map(|e| e.to_string());
+        let members = self
+            .idents
+            .into_iter()
+            .zip(self.states)
+            .map(|(ident, state)| MemberResult {
+                name: ident.name,
+                fuzzer: ident.fuzzer,
+                core: ident.core,
+                cases: state.executed,
+                unique_signatures: state.signatures.unique(),
+                signatures: state.signatures.sorted_signatures(),
+                curve: state.curve,
+                cumulative: state.cumulative,
+                first_detection: state.first_detection,
+                instructions_executed: state.instructions_executed,
+                aborted_cases: state.aborted_cases,
+            })
+            .collect();
+        FleetResult {
+            members,
+            merged_curve: self.merged_curve,
+            corpus: self.corpus,
+            budgets: self.budgets,
+            metrics: self.metrics.snapshot(),
+            completed: self.epoch >= self.spec.config().epochs,
+            sink_error,
+        }
     }
-    for (slot, state) in states.iter_mut().zip(restored.states) {
-        *slot = state;
-    }
-    *corpus = restored.corpus;
-    *budgets = restored.budgets;
-    *merged_curve = restored.merged_curve;
-    *epoch = restored.epoch;
-    *metrics = restored.metrics;
-    Ok(())
 }
 
 /// Runs one fleet: every member campaign advances through shared epochs
@@ -777,229 +1034,33 @@ fn restore_fleet_checkpoint(
 /// fuzzing loop itself never errors: faulty cases are contained per
 /// member exactly as in a standalone campaign.
 pub fn run_fleet(members: &mut [FleetMember], spec: &FleetSpec) -> Result<FleetResult, RunError> {
-    if members.is_empty() {
-        return Err(RunError::NoMembers);
-    }
-    let cfg = *spec.config();
-    if cfg.cases_per_epoch < members.len() as u64 {
-        return Err(RunError::BudgetTooSmall {
-            members: members.len(),
-            cases_per_epoch: cfg.cases_per_epoch,
-        });
-    }
-    let sink = spec.sink();
-    let silent = SinkHandle::null();
-    let mut pools: Vec<ExecPool> = members
+    let idents = members
         .iter()
-        .map(|member| {
-            let builder = Executor::builder(member.core).max_steps(cfg.run.max_steps);
-            ExecPool::new(builder.build(), spec.threads())
-        })
-        .collect();
-    let map_lens: Vec<usize> = pools.iter().map(|p| p.coverage_map().len()).collect();
-    let mut states: Vec<CampaignState> = map_lens
-        .iter()
-        .map(|&len| CampaignState::fresh(len))
-        .collect();
-    let mut metrics = Metrics::new();
-    let mut corpus = GlobalCorpus::new(spec.corpus_capacity());
-    // The first epoch has no rates to differentiate: every member gets
-    // the even largest-remainder split.
-    let mut budgets = reallocate(cfg.cases_per_epoch, &vec![0; members.len()]);
-    let mut merged_curve: Vec<FleetSample> = Vec::new();
-    let mut epoch = 0u64;
-    if let Some(snapshot) = spec.resume_from() {
-        restore_fleet_checkpoint(
-            snapshot,
-            spec,
-            members,
-            &map_lens,
-            &mut states,
-            &mut corpus,
-            &mut budgets,
-            &mut merged_curve,
-            &mut epoch,
-            &mut metrics,
-        )?;
-    }
-
-    while epoch < cfg.epochs {
-        if spec.stop_requested() {
-            break;
-        }
-        if sink.enabled() {
-            sink.emit(&Event::EpochStart {
-                epoch,
-                members: members.len() as u64,
-                planned: budgets.iter().sum(),
-            });
-        }
-        let stats_before = corpus.stats();
-        let mut rates: Vec<u64> = Vec::with_capacity(members.len());
-        let mut sync_seconds = 0.0f64;
-        for (index, member) in members.iter_mut().enumerate() {
-            let state = &mut states[index];
-            let pool = &mut pools[index];
-            let target = state.executed + budgets[index];
-            // One member-campaign slice: `cases = target` makes the round
-            // engine stop exactly at the epoch boundary and sample the
-            // member's curve exactly once there.
-            let member_cfg = CampaignConfig {
-                cases: target,
-                sample_every: target,
-                run: cfg.run,
-            };
-            let covered_before = state.cumulative.count();
-            let mut harvest: Vec<HarvestedCase> = Vec::new();
-            while state.executed < target {
-                run_round(
-                    member.fuzzer.as_mut(),
-                    pool,
-                    &member_cfg,
-                    spec.threads(),
-                    &silent,
-                    &mut metrics,
-                    state,
-                    Some(&mut harvest),
-                )?;
-            }
-            let sync_started = Instant::now();
-            for case in harvest {
-                corpus.insert(
-                    format!("{}-case-{}", member.name, case.case),
-                    case.body,
-                    case.coverage,
-                );
-            }
-            sync_seconds += sync_started.elapsed().as_secs_f64();
-            let gained = (state.cumulative.count() - covered_before) as u64;
-            rates.push(gained * 1000 / budgets[index]);
-            metrics.inc("fleet.cases", budgets[index]);
-            if sink.enabled() {
-                let map = pool.coverage_map();
-                sink.emit(&Event::MemberProgress {
-                    epoch,
-                    member: index as u64,
-                    executed: state.executed,
-                    condition: state.cumulative.count_of(map, CoverageKind::Condition) as u64,
-                    line: state.cumulative.count_of(map, CoverageKind::Line) as u64,
-                    fsm: state.cumulative.count_of(map, CoverageKind::Fsm) as u64,
-                    unique_signatures: state.signatures.unique() as u64,
-                });
-            }
-        }
-        metrics.observe("fleet.sync.seconds", sync_seconds);
-
-        let distill_started = Instant::now();
-        let (distilled_from, distilled_to) = corpus.distill();
-        metrics.observe_duration("fleet.distill.seconds", distill_started.elapsed());
-        let stats_after = corpus.stats();
-        if sink.enabled() {
-            sink.emit(&Event::CorpusSync {
-                epoch,
-                inserted: stats_after.inserted - stats_before.inserted,
-                duplicates: stats_after.duplicates - stats_before.duplicates,
-                evicted: stats_after.evicted - stats_before.evicted,
-                distilled_from: distilled_from as u64,
-                distilled_to: distilled_to as u64,
-            });
-        }
-
-        let schedule_started = Instant::now();
-        budgets = reallocate(cfg.cases_per_epoch, &rates);
-        metrics.observe_duration("fleet.schedule.seconds", schedule_started.elapsed());
-        if sink.enabled() {
-            for (index, (&cases, &rate_milli)) in budgets.iter().zip(&rates).enumerate() {
-                sink.emit(&Event::BudgetRealloc {
-                    epoch,
-                    member: index as u64,
-                    cases,
-                    rate_milli,
-                });
-            }
-        }
-
-        let cores: Vec<CoreKind> = members.iter().map(|m| m.core).collect();
-        let maps: Vec<&CoverageMap> = pools.iter().map(ExecPool::coverage_map).collect();
-        let sample = merged_sample(epoch, &cores, &states, &maps);
-        merged_curve.push(sample);
-        if sink.enabled() {
-            sink.emit(&Event::EpochEnd {
-                epoch,
-                executed: sample.cases,
-                condition: sample.condition as u64,
-                line: sample.line as u64,
-                fsm: sample.fsm as u64,
-                unique_signatures: sample.unique_signatures as u64,
-            });
-        }
-        metrics.inc("fleet.epochs", 1);
-        epoch += 1;
-        // Periodic (and operator-requested) checkpoints land on epoch
-        // boundaries, where every member sits at a round boundary with
-        // empty pending queues. The checkpoint-now request is claimed
-        // even without a policy so a stale request cannot linger.
-        let requested = spec.take_checkpoint_request();
-        if let Some(policy) = spec.checkpoint() {
-            let periodic = epoch.is_multiple_of(policy.every_rounds());
-            if (periodic || requested) && epoch < cfg.epochs {
-                write_fleet_checkpoint(
-                    policy,
-                    spec,
-                    members,
-                    &states,
-                    &corpus,
-                    &budgets,
-                    &merged_curve,
-                    epoch,
-                    &metrics,
-                )?;
-            }
-        }
-    }
-    // Final (or graceful-shutdown) snapshot.
-    if let Some(policy) = spec.checkpoint() {
-        write_fleet_checkpoint(
-            policy,
-            spec,
-            members,
-            &states,
-            &corpus,
-            &budgets,
-            &merged_curve,
-            epoch,
-            &metrics,
-        )?;
-    }
-
-    sink.flush();
-    let sink_error = sink.take_error().map(|e| e.to_string());
-    let member_results = members
-        .iter()
-        .zip(&states)
-        .map(|(member, state)| MemberResult {
+        .map(|member| MemberIdent {
+            core: member.core,
             name: member.name.clone(),
             fuzzer: member.fuzzer.name().to_owned(),
-            core: member.core,
-            cases: state.executed,
-            curve: state.curve.clone(),
-            cumulative: state.cumulative.clone(),
-            unique_signatures: state.signatures.unique(),
-            signatures: state.signatures.sorted_signatures(),
-            first_detection: state.first_detection.clone(),
-            instructions_executed: state.instructions_executed,
-            aborted_cases: state.aborted_cases,
         })
         .collect();
-    Ok(FleetResult {
-        members: member_results,
-        merged_curve,
-        corpus,
-        budgets,
-        metrics: metrics.snapshot(),
-        completed: epoch >= cfg.epochs,
-        sink_error,
-    })
+    let run = spec.config().run;
+    let pools = members
+        .iter()
+        .map(|member| {
+            let executor = Executor::builder(member.core)
+                .max_steps(run.max_steps)
+                .build();
+            ExecPool::new(executor, run.threads)
+        })
+        .collect();
+    let mut runner = LocalRunner {
+        members,
+        pools,
+        run,
+    };
+    let mut engine = FleetEngine::start(spec, idents, &mut runner)?;
+    engine.run_epochs(&mut runner)?;
+    engine.write_final_checkpoint(&runner)?;
+    Ok(engine.into_result())
 }
 
 #[cfg(test)]
@@ -1051,7 +1112,7 @@ mod tests {
             assert!(budgets[3] >= floor, "{budgets:?}");
             assert_eq!(budgets.iter().sum::<u64>(), total);
             // Members 0–2 keep producing, member 3 never does: feed the
-            // resulting rates back like run_fleet would.
+            // resulting rates back like the fleet engine would.
             rates = vec![
                 5000 * 1000 / budgets[0],
                 3000 * 1000 / budgets[1],
@@ -1135,6 +1196,167 @@ mod tests {
         ];
         let err = run_fleet(&mut members, &tight).expect_err("budget too small");
         assert!(err.to_string().contains("cannot cover"), "{err}");
+    }
+
+    /// A runner that follows a script instead of running slices. Member
+    /// `a` reports at every close; member `b`'s epoch-0 slice reports
+    /// late, at epoch 1's close, as a straggling worker's would.
+    struct ScriptedRunner {
+        map: CoverageMap,
+        budgets_seen: Vec<Vec<u64>>,
+    }
+
+    impl ScriptedRunner {
+        /// Advances `state` by a slice of `granted` cases whose one
+        /// harvested case covered `points`.
+        fn report(state: &mut CampaignState, granted: u64, points: &[usize]) -> MemberReport {
+            let covered_before = state.cumulative.count();
+            state.executed += granted;
+            let mut own = vec![0u64; state.cumulative.words().len()];
+            for &point in points {
+                own[point / 64] |= 1 << (point % 64);
+            }
+            let coverage = CoverageSnapshot::from_words(state.cumulative.len(), own).unwrap();
+            state.cumulative.union_with(&coverage);
+            MemberReport {
+                granted,
+                covered_before,
+                harvest: vec![HarvestedCase {
+                    case: state.executed,
+                    body: vec![hfl_riscv::Instruction::NOP],
+                    coverage,
+                }],
+            }
+        }
+    }
+
+    impl MemberRunner for ScriptedRunner {
+        fn coverage_map(&self, _index: usize) -> &CoverageMap {
+            &self.map
+        }
+
+        fn run_epoch(
+            &mut self,
+            epoch: u64,
+            budgets: &[u64],
+            states: &mut [CampaignState],
+            _metrics: &mut Metrics,
+        ) -> Result<Vec<Option<MemberReport>>, RunError> {
+            self.budgets_seen.push(budgets.to_vec());
+            let (a, b) = states.split_at_mut(1);
+            Ok(match epoch {
+                0 => vec![
+                    Some(Self::report(&mut a[0], budgets[0], &[0, 1, 2, 3])),
+                    None,
+                ],
+                _ => vec![
+                    Some(Self::report(&mut a[0], budgets[0], &[4])),
+                    Some(Self::report(&mut b[0], self.budgets_seen[0][1], &[8, 9])),
+                ],
+            })
+        }
+
+        fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError> {
+            Ok(Cow::Owned(vec![Vec::new(); 2]))
+        }
+
+        fn load_fuzzers(&mut self, _blobs: Vec<Vec<u8>>) -> Result<(), RunError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_non_reporting_member_scores_zero_and_its_late_result_folds_later() {
+        use crate::obs::RingSink;
+        use std::sync::Arc;
+
+        let mut map = CoverageMap::new();
+        for point in 0..16 {
+            map.register(CoverageKind::Condition, &format!("c{point}"));
+        }
+        let mut runner = ScriptedRunner {
+            map,
+            budgets_seen: Vec::new(),
+        };
+        let ring = Arc::new(RingSink::new(256));
+        let spec = FleetSpec::builder(FleetConfig::quick(2, 20))
+            .sink(SinkHandle::new(ring.clone()))
+            .build()
+            .unwrap();
+        let idents = ["a", "b"]
+            .map(|name| MemberIdent {
+                core: CoreKind::Rocket,
+                name: name.to_owned(),
+                fuzzer: String::from("scripted"),
+            })
+            .to_vec();
+        let mut engine = FleetEngine::start(&spec, idents, &mut runner).unwrap();
+        engine.run_epochs(&mut runner).unwrap();
+        let result = engine.into_result();
+        let events = ring.events();
+
+        assert_eq!(runner.budgets_seen[0], vec![10, 10]);
+        let progress: Vec<(u64, u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::MemberProgress {
+                    epoch,
+                    member,
+                    executed,
+                    ..
+                } => Some((*epoch, *member, *executed)),
+                _ => None,
+            })
+            .collect();
+        // No member_progress for b at epoch 0; its epoch-0 slice of 10
+        // cases shows up at epoch 1's close.
+        assert_eq!(progress, vec![(0, 0, 10), (1, 0, 28), (1, 1, 10)]);
+
+        let reallocs: Vec<(u64, u64, u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::BudgetRealloc {
+                    epoch,
+                    member,
+                    cases,
+                    rate_milli,
+                } => Some((*epoch, *member, *cases, *rate_milli)),
+                _ => None,
+            })
+            .collect();
+        // Epoch 0: a gained 4 points on 10 cases; b scores 0 and keeps
+        // the floor of 20 / (4 * 2) = 2 cases.
+        assert_eq!(reallocs[0], (0, 0, 18, 400));
+        assert_eq!(reallocs[1], (0, 1, 2, 0));
+        // Epoch 1: b's late result is rated against the 10 cases it was
+        // granted at epoch 0, not against its epoch-1 budget.
+        assert_eq!(reallocs[2].3, 1000 / 18);
+        assert_eq!(reallocs[3].3, 2 * 1000 / 10);
+
+        let inserted: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::CorpusSync { inserted, .. } => Some(*inserted),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(inserted, vec![1, 2]);
+        assert!(result
+            .corpus
+            .entries()
+            .iter()
+            .any(|e| e.name == "b-case-10"));
+
+        // fleet.cases counts reporters' granted cases only: 10 at epoch
+        // 0, then 18 + 10 at epoch 1 (not the 2 × 20 budgeted).
+        assert_eq!(result.metrics.counter("fleet.cases"), 38);
+        let merged: Vec<(u64, usize)> = result
+            .merged_curve
+            .iter()
+            .map(|s| (s.cases, s.condition))
+            .collect();
+        assert_eq!(merged, vec![(10, 4), (38, 7)]);
+        assert!(result.completed);
     }
 
     #[test]

@@ -1,18 +1,22 @@
-//! The distributed fleet: [`crate::fleet::run_fleet`]'s epoch loop
-//! split across processes, speaking [`crate::wire`] over TCP.
+//! The distributed fleet: [`crate::fleet::run_fleet`]'s epoch engine
+//! with its member slices run by workers speaking [`crate::wire`] over
+//! TCP.
 //!
-//! The coordinator ([`run_fleet_dist`]) owns everything that defines
-//! the fleet's observable behaviour — the shared corpus, the budget
-//! scheduler, the merged coverage curve, the event stream and the
-//! checkpoints. Workers ([`run_worker`], usually the bench
-//! `fleet_worker` binary) are **stateless between epochs**: every
-//! budget grant carries the member's full serialised campaign and
-//! fuzzer state, the worker recomputes its epoch slice
-//! deterministically and returns the advanced state plus harvested
-//! cases. Because a grant is self-contained, a freshly respawned
-//! worker rerunning a lost epoch is byte-for-byte the same computation
-//! the dead worker would have performed — crash recovery *is* the
-//! normal path.
+//! [`run_fleet_dist`] drives the same engine as the in-process fleet,
+//! and that engine owns everything that defines the fleet's observable
+//! behaviour: the shared corpus, the budget scheduler, the merged
+//! coverage curve, the event stream and the checkpoints. The
+//! coordinator here is only the engine's member runner — slots, grants,
+//! heartbeats, quorum, deadline and respawn. Workers ([`run_worker`],
+//! usually the bench `fleet_worker` binary) are **stateless between
+//! epochs**: every budget grant carries the member's full serialised
+//! campaign and fuzzer state, the worker recomputes its epoch slice
+//! deterministically (through the same slice function as the
+//! in-process fleet) and returns the advanced state plus harvested
+//! cases. Because a grant is self-contained, a freshly respawned worker
+//! rerunning a lost epoch is byte-for-byte the same computation the
+//! dead worker would have performed — crash recovery *is* the normal
+//! path.
 //!
 //! # Determinism contract (async epochs)
 //!
@@ -23,8 +27,9 @@
 //!   stream and merged coverage curve are bit-identical to the
 //!   in-process [`crate::fleet::run_fleet`] on the same spec and
 //!   member line-up, including across SIGKILL + respawn of any worker,
-//!   at any worker placement or timing. Results are folded in member
-//!   index order at the epoch close, never in arrival order.
+//!   at any worker placement or timing. Both run one engine, which
+//!   folds results in member-index order at the epoch close, never in
+//!   arrival order.
 //! - **Degraded fleet** (a deadline trips with a quorum, or a member
 //!   exhausts its respawn budget): the fleet keeps going — late
 //!   results fold into a *later* epoch close, non-reporting members
@@ -33,14 +38,16 @@
 //!   event for that epoch. From that point the stream may diverge from
 //!   the in-process reference; it remains deterministic given the same
 //!   fault timeline.
-//! - Fleet checkpoints are written from the same serialised member
-//!   states the wire carries, so distributed and in-process snapshots
-//!   of the same fleet state are interchangeable (and byte-identical).
+//! - Fleet checkpoints are written by that engine from the same
+//!   serialised fuzzer states the wire carries, so distributed and
+//!   in-process snapshots of the same fleet state are interchangeable
+//!   (and byte-identical).
 //!
 //! Wall-clock still never enters the stream: heartbeats, deadlines and
 //! quorums only decide *when* to close an epoch, and in the healthy
 //! case the close set is always "everyone".
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,20 +59,16 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hfl_dut::{CoreKind, CoverageKind, CoverageMap};
+use hfl_dut::{CoreKind, CoverageMap};
 use hfl_nn::persist::{corrupt, PersistError};
 
-use crate::campaign::{
-    run_round, CampaignConfig, CampaignState, HarvestedCase, RunConfig, RunError,
-};
-use crate::corpus::GlobalCorpus;
+use crate::campaign::{CampaignState, HarvestedCase, RunConfig, RunError};
 use crate::exec::ExecPool;
 use crate::fleet::{
-    merged_sample, reallocate, restore_fleet_checkpoint_parts, write_fleet_checkpoint_parts,
-    FleetResult, FleetSample, FleetSpec, MemberIdent, MemberResult,
+    run_member_slice, FleetEngine, FleetResult, FleetSpec, MemberIdent, MemberReport, MemberRunner,
 };
 use crate::harness::Executor;
-use crate::obs::{Event, Metrics, SinkHandle};
+use crate::obs::Metrics;
 use crate::spec::MemberSpec;
 use crate::wire::{Frame, Payload, WireError};
 
@@ -325,16 +328,14 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
             }
         };
 
-    let threads = (threads as usize).max(1);
     let run = RunConfig::quick()
         .with_max_steps(max_steps)
         .with_batch((batch as usize).max(1))
-        .with_threads(threads);
+        .with_threads((threads as usize).max(1));
     let executor = Executor::builder(core).max_steps(max_steps).build();
-    let mut pool = ExecPool::new(executor, threads);
+    let mut pool = ExecPool::new(executor, run.threads);
     let map_len = pool.coverage_map().len();
     let mut fuzzer = kind.build(seed);
-    let silent = SinkHandle::null();
     let mut metrics = Metrics::new();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -377,32 +378,18 @@ pub fn run_worker(addr: &str, worker: u32, fault: Option<WorkerFault>) -> Result
                 }
                 let mut st = CampaignState::load(&mut state.as_slice(), map_len)?;
                 fuzzer.load_state(&mut fuzzer_state.as_slice())?;
-                let target = st.executed + budget;
-                // Mirrors run_fleet's member slice: `cases = target`
-                // stops the round engine exactly at the epoch boundary
-                // and samples the member curve exactly once there.
-                let member_cfg = CampaignConfig {
-                    cases: target,
-                    sample_every: target,
+                // A composition failure is a protocol-level fault of
+                // this worker's member pairing: report it upstream
+                // instead of panicking the process.
+                let harvest = run_member_slice(
+                    fuzzer.as_mut(),
+                    &mut pool,
                     run,
-                };
-                let mut harvest: Vec<HarvestedCase> = Vec::new();
-                while st.executed < target {
-                    // A composition failure is a protocol-level fault of
-                    // this worker's member pairing: report it upstream
-                    // instead of panicking the process.
-                    run_round(
-                        fuzzer.as_mut(),
-                        &mut pool,
-                        &member_cfg,
-                        threads,
-                        &silent,
-                        &mut metrics,
-                        &mut st,
-                        Some(&mut harvest),
-                    )
-                    .map_err(|e| WireError::Protocol(e.to_string()))?;
-                }
+                    budget,
+                    &mut metrics,
+                    &mut st,
+                )
+                .map_err(|e| WireError::Protocol(e.to_string()))?;
                 let mut state_blob = Vec::new();
                 st.save(&mut state_blob)?;
                 let mut fuzzer_blob = Vec::new();
@@ -487,9 +474,19 @@ struct Slot {
     outstanding: Option<u64>,
     /// Budget waiting to be granted once the member has a connection.
     pending_grant: Option<u64>,
+    /// Whether the current epoch planned a grant for this member.
+    planned: bool,
     /// Budget of the most recent grant (denominator of the member's
     /// marginal rate).
     granted: u64,
+    /// The member's cumulative coverage count when its latest grant
+    /// was planned.
+    covered_before: usize,
+    /// The serialised campaign state the latest grant carries, kept to
+    /// reissue the grant to a respawned worker.
+    grant_state: Vec<u8>,
+    /// The outstanding grant's result, waiting for an epoch close.
+    result: Option<WorkerEpoch>,
     respawns_left: u32,
     alive: bool,
     last_seen: Instant,
@@ -497,42 +494,95 @@ struct Slot {
 
 struct WorkerEpoch {
     state: CampaignState,
-    state_blob: Vec<u8>,
     fuzzer_blob: Vec<u8>,
     harvest: Vec<HarvestedCase>,
 }
 
+/// The fleet engine's distributed member runner: one slot per member,
+/// each served by a launcher-provided worker.
 struct Coordinator<'a> {
     specs: &'a [MemberSpec],
-    spec: &'a FleetSpec,
+    run: RunConfig,
     dist: &'a DistConfig,
     launcher: &'a mut dyn WorkerLauncher,
     addr: SocketAddr,
-    idents: Vec<MemberIdent>,
+    rx: Receiver<Msg>,
+    /// Reference executors, one per distinct core, providing the
+    /// coverage maps events and merges count against (identical to the
+    /// maps worker pools build for the same core).
     executors: Vec<Executor>,
     map_slot: Vec<usize>,
-    map_lens: Vec<usize>,
     slots: Vec<Slot>,
-    states: Vec<CampaignState>,
-    state_blobs: Vec<Vec<u8>>,
+    /// Each member's latest fuzzer state, in the form grants and
+    /// snapshots carry it.
     fuzzer_blobs: Vec<Vec<u8>>,
-    covered_before: Vec<usize>,
-    planned: Vec<bool>,
-    results: Vec<Option<WorkerEpoch>>,
-    metrics: Metrics,
-    corpus: GlobalCorpus,
-    budgets: Vec<u64>,
-    merged_curve: Vec<FleetSample>,
-    epoch: u64,
 }
 
-impl Coordinator<'_> {
-    fn len(&self) -> usize {
-        self.specs.len()
+impl<'a> Coordinator<'a> {
+    fn new(
+        specs: &'a [MemberSpec],
+        run: RunConfig,
+        dist: &'a DistConfig,
+        launcher: &'a mut dyn WorkerLauncher,
+        addr: SocketAddr,
+        rx: Receiver<Msg>,
+    ) -> Result<Coordinator<'a>, RunError> {
+        let mut cores: Vec<CoreKind> = Vec::new();
+        let map_slot = specs
+            .iter()
+            .map(|m| match cores.iter().position(|&core| core == m.core) {
+                Some(pos) => pos,
+                None => {
+                    cores.push(m.core);
+                    cores.len() - 1
+                }
+            })
+            .collect();
+        let executors = cores
+            .into_iter()
+            .map(|core| Executor::builder(core).max_steps(run.max_steps).build())
+            .collect();
+        let fuzzer_blobs = specs
+            .iter()
+            .map(|m| {
+                let mut blob = Vec::new();
+                m.fuzzer.build(m.seed).save_state(&mut blob)?;
+                Ok(blob)
+            })
+            .collect::<Result<_, PersistError>>()?;
+        let now = Instant::now();
+        let slots = specs
+            .iter()
+            .map(|_| Slot {
+                writer: None,
+                outstanding: None,
+                pending_grant: None,
+                planned: false,
+                granted: 0,
+                covered_before: 0,
+                grant_state: Vec::new(),
+                result: None,
+                respawns_left: dist.max_respawns,
+                alive: true,
+                last_seen: now,
+            })
+            .collect();
+        Ok(Coordinator {
+            specs,
+            run,
+            dist,
+            launcher,
+            addr,
+            rx,
+            executors,
+            map_slot,
+            slots,
+            fuzzer_blobs,
+        })
     }
 
-    fn map(&self, index: usize) -> &CoverageMap {
-        self.executors[self.map_slot[index]].coverage_map()
+    fn len(&self) -> usize {
+        self.specs.len()
     }
 
     fn member_index(&self, worker: u32) -> Option<usize> {
@@ -545,16 +595,15 @@ impl Coordinator<'_> {
             return;
         };
         let m = &self.specs[index];
-        let cfg = self.spec.config();
         let assign = Payload::Assign {
             member: worker,
             name: m.display_name(),
             core: m.core,
             fuzzer: m.fuzzer,
             seed: m.seed,
-            max_steps: cfg.run.max_steps,
-            batch: cfg.run.batch as u64,
-            threads: cfg.run.threads as u64,
+            max_steps: self.run.max_steps,
+            batch: self.run.batch as u64,
+            threads: self.run.threads as u64,
             heartbeat_millis: self.dist.heartbeat_millis,
         };
         if send_frame(&writer, assign).is_err() {
@@ -583,7 +632,7 @@ impl Coordinator<'_> {
         let grant = Payload::Grant {
             epoch,
             budget,
-            state: self.state_blobs[index].clone(),
+            state: self.slots[index].grant_state.clone(),
             fuzzer_state: self.fuzzer_blobs[index].clone(),
         };
         if send_frame(&writer, grant).is_err() {
@@ -640,17 +689,18 @@ impl Coordinator<'_> {
         if self.slots[index].outstanding != Some(epoch) {
             return; // Stale duplicate (e.g. a result racing a respawn).
         }
-        let Ok(decoded) = CampaignState::load(&mut state.as_slice(), self.map_lens[index]) else {
+        let map_len = self.coverage_map(index).len();
+        let Ok(state) = CampaignState::load(&mut state.as_slice(), map_len) else {
             // A worker shipping an undecodable state is as good as
             // dead: drop it and recompute from the last good blobs.
             self.handle_death(index);
             return;
         };
-        self.slots[index].outstanding = None;
-        self.slots[index].last_seen = Instant::now();
-        self.results[index] = Some(WorkerEpoch {
-            state: decoded,
-            state_blob: state,
+        let slot = &mut self.slots[index];
+        slot.outstanding = None;
+        slot.last_seen = Instant::now();
+        slot.result = Some(WorkerEpoch {
+            state,
             fuzzer_blob,
             harvest,
         });
@@ -665,32 +715,29 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Blocks until the current epoch can close per the async
-    /// contract: every live granted member reported, or the deadline
-    /// passed with the quorum met, or only dead members remain.
-    fn wait_for_epoch(&mut self, rx: &Receiver<Msg>) -> Result<(), RunError> {
+    /// Blocks until epoch `epoch` can close per the async contract:
+    /// every live granted member reported, or the deadline passed with
+    /// the quorum met, or only dead members remain.
+    fn wait_for_epoch(&mut self, epoch: u64) -> Result<(), RunError> {
         let deadline = Instant::now() + Duration::from_millis(self.dist.epoch_deadline_millis);
         loop {
             // Issue pending grants to members that have a connection.
             for index in 0..self.len() {
                 if self.slots[index].writer.is_some() {
-                    if let Some(budget) = self.slots[index].pending_grant {
-                        self.slots[index].pending_grant = None;
-                        self.slots[index].outstanding = Some(self.epoch);
+                    if let Some(budget) = self.slots[index].pending_grant.take() {
+                        self.slots[index].outstanding = Some(epoch);
                         self.slots[index].granted = budget;
-                        self.send_grant(index, self.epoch, budget);
+                        self.send_grant(index, epoch, budget);
                     }
                 }
             }
             let (mut expected, mut reported, mut waiting) = (0usize, 0usize, 0usize);
-            for index in 0..self.len() {
-                if self.planned[index] {
-                    expected += 1;
-                    if self.results[index].is_some() {
-                        reported += 1;
-                    } else if self.slots[index].alive {
-                        waiting += 1;
-                    }
+            for slot in self.slots.iter().filter(|slot| slot.planned) {
+                expected += 1;
+                if slot.result.is_some() {
+                    reported += 1;
+                } else if slot.alive {
+                    waiting += 1;
                 }
             }
             if expected > 0 {
@@ -713,16 +760,18 @@ impl Coordinator<'_> {
                 // Nothing newly granted (every member is either dead or
                 // still busy with an old grant): close as soon as a
                 // straggler reports.
-                if self.results.iter().any(Option::is_some) {
+                if self.slots.iter().any(|slot| slot.result.is_some()) {
                     return Ok(());
                 }
-                let busy_alive = (0..self.len())
-                    .any(|i| self.slots[i].alive && self.slots[i].outstanding.is_some());
+                let busy_alive = self
+                    .slots
+                    .iter()
+                    .any(|slot| slot.alive && slot.outstanding.is_some());
                 if !busy_alive {
                     return Err(corrupt("no live workers remain in the fleet").into());
                 }
             }
-            match rx.recv_timeout(Duration::from_millis(50)) {
+            match self.rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(Msg::Hello(worker, writer)) => self.handle_hello(worker, writer),
                 Ok(Msg::Frame(worker, payload)) => self.handle_frame(worker, payload),
                 Ok(Msg::Gone(worker)) => {
@@ -737,184 +786,60 @@ impl Coordinator<'_> {
             }
         }
     }
+}
 
-    fn run_epochs(&mut self, rx: &Receiver<Msg>) -> Result<(), RunError> {
-        let cfg = *self.spec.config();
-        let sink = self.spec.sink();
-        while self.epoch < cfg.epochs {
-            if self.spec.stop_requested() {
-                break;
-            }
-            if sink.enabled() {
-                sink.emit(&Event::EpochStart {
-                    epoch: self.epoch,
-                    members: self.len() as u64,
-                    planned: self.budgets.iter().sum(),
-                });
-            }
-            let stats_before = self.corpus.stats();
-            for index in 0..self.len() {
-                self.planned[index] = false;
-                if self.slots[index].alive
-                    && self.slots[index].outstanding.is_none()
-                    && self.results[index].is_none()
-                {
-                    self.planned[index] = true;
-                    self.slots[index].pending_grant = Some(self.budgets[index]);
-                    self.covered_before[index] = self.states[index].cumulative.count();
-                }
-            }
-            self.wait_for_epoch(rx)?;
+impl MemberRunner for Coordinator<'_> {
+    fn coverage_map(&self, index: usize) -> &CoverageMap {
+        self.executors[self.map_slot[index]].coverage_map()
+    }
 
-            // Close the epoch: fold results in member index order —
-            // the same order the in-process fleet runs its members in,
-            // which is what keeps corpus insertion order (and thus the
-            // whole downstream stream) bit-identical.
-            let mut rates = vec![0u64; self.len()];
-            let mut sync_seconds = 0.0f64;
-            for (index, rate) in rates.iter_mut().enumerate() {
-                let Some(res) = self.results[index].take() else {
-                    continue;
-                };
-                self.states[index] = res.state;
-                self.state_blobs[index] = res.state_blob;
-                self.fuzzer_blobs[index] = res.fuzzer_blob;
-                let sync_started = Instant::now();
-                let name = self.specs[index].display_name();
-                for case in res.harvest {
-                    self.corpus.insert(
-                        format!("{name}-case-{}", case.case),
-                        case.body,
-                        case.coverage,
-                    );
-                }
-                sync_seconds += sync_started.elapsed().as_secs_f64();
-                let gained =
-                    (self.states[index].cumulative.count() - self.covered_before[index]) as u64;
-                *rate = gained * 1000 / self.slots[index].granted.max(1);
-                self.metrics.inc("fleet.cases", self.slots[index].granted);
-                if sink.enabled() {
-                    let state = &self.states[index];
-                    let map = self.map(index);
-                    sink.emit(&Event::MemberProgress {
-                        epoch: self.epoch,
-                        member: index as u64,
-                        executed: state.executed,
-                        condition: state.cumulative.count_of(map, CoverageKind::Condition) as u64,
-                        line: state.cumulative.count_of(map, CoverageKind::Line) as u64,
-                        fsm: state.cumulative.count_of(map, CoverageKind::Fsm) as u64,
-                        unique_signatures: state.signatures.unique() as u64,
-                    });
-                }
-            }
-            self.metrics.observe("fleet.sync.seconds", sync_seconds);
-
-            let distill_started = Instant::now();
-            let (distilled_from, distilled_to) = self.corpus.distill();
-            self.metrics
-                .observe_duration("fleet.distill.seconds", distill_started.elapsed());
-            let stats_after = self.corpus.stats();
-            if sink.enabled() {
-                sink.emit(&Event::CorpusSync {
-                    epoch: self.epoch,
-                    inserted: stats_after.inserted - stats_before.inserted,
-                    duplicates: stats_after.duplicates - stats_before.duplicates,
-                    evicted: stats_after.evicted - stats_before.evicted,
-                    distilled_from: distilled_from as u64,
-                    distilled_to: distilled_to as u64,
-                });
-            }
-
-            let schedule_started = Instant::now();
-            self.budgets = reallocate(cfg.cases_per_epoch, &rates);
-            self.metrics
-                .observe_duration("fleet.schedule.seconds", schedule_started.elapsed());
-            if sink.enabled() {
-                for (index, (&cases, &rate_milli)) in self.budgets.iter().zip(&rates).enumerate() {
-                    sink.emit(&Event::BudgetRealloc {
-                        epoch: self.epoch,
-                        member: index as u64,
-                        cases,
-                        rate_milli,
-                    });
-                }
-            }
-
-            let sample = {
-                let cores: Vec<CoreKind> = self.specs.iter().map(|m| m.core).collect();
-                let maps: Vec<&CoverageMap> = (0..self.len()).map(|i| self.map(i)).collect();
-                merged_sample(self.epoch, &cores, &self.states, &maps)
-            };
-            self.merged_curve.push(sample);
-            if sink.enabled() {
-                sink.emit(&Event::EpochEnd {
-                    epoch: self.epoch,
-                    executed: sample.cases,
-                    condition: sample.condition as u64,
-                    line: sample.line as u64,
-                    fsm: sample.fsm as u64,
-                    unique_signatures: sample.unique_signatures as u64,
-                });
-            }
-            self.metrics.inc("fleet.epochs", 1);
-            self.epoch += 1;
-            let requested = self.spec.take_checkpoint_request();
-            if let Some(policy) = self.spec.checkpoint() {
-                let periodic = self.epoch.is_multiple_of(policy.every_rounds());
-                if (periodic || requested) && self.epoch < cfg.epochs {
-                    self.write_checkpoint(policy)?;
-                }
+    fn run_epoch(
+        &mut self,
+        epoch: u64,
+        budgets: &[u64],
+        states: &mut [CampaignState],
+        _metrics: &mut Metrics,
+    ) -> Result<Vec<Option<MemberReport>>, RunError> {
+        // Plan a grant for every alive member that is neither still
+        // working on an older grant nor holding an unfolded result.
+        for ((slot, state), &budget) in self.slots.iter_mut().zip(&*states).zip(budgets) {
+            slot.planned = slot.alive && slot.outstanding.is_none() && slot.result.is_none();
+            if slot.planned {
+                slot.pending_grant = Some(budget);
+                slot.covered_before = state.cumulative.count();
+                slot.grant_state.clear();
+                state.save(&mut slot.grant_state)?;
             }
         }
-        Ok(())
-    }
-
-    fn write_checkpoint(&self, policy: &crate::campaign::CheckpointPolicy) -> Result<(), RunError> {
-        write_fleet_checkpoint_parts(
-            policy,
-            self.spec,
-            &self.idents,
-            &self.states,
-            &self.fuzzer_blobs,
-            &self.corpus,
-            &self.budgets,
-            &self.merged_curve,
-            self.epoch,
-            &self.metrics,
-        )
-    }
-
-    fn finish(self, completed: bool) -> FleetResult {
-        let sink = self.spec.sink();
-        sink.flush();
-        let sink_error = sink.take_error().map(|e| e.to_string());
-        let members = self
-            .specs
-            .iter()
-            .zip(&self.states)
-            .map(|(m, state)| MemberResult {
-                name: m.display_name(),
-                fuzzer: m.fuzzer.fuzzer_name().to_owned(),
-                core: m.core,
-                cases: state.executed,
-                curve: state.curve.clone(),
-                cumulative: state.cumulative.clone(),
-                unique_signatures: state.signatures.unique(),
-                signatures: state.signatures.sorted_signatures(),
-                first_detection: state.first_detection.clone(),
-                instructions_executed: state.instructions_executed,
-                aborted_cases: state.aborted_cases,
+        self.wait_for_epoch(epoch)?;
+        // Every received result reports at this close, late ones
+        // included; the engine folds them in member-index order.
+        let reports = self
+            .slots
+            .iter_mut()
+            .zip(&mut self.fuzzer_blobs)
+            .zip(states)
+            .map(|((slot, fuzzer_blob), state)| {
+                let result = slot.result.take()?;
+                *state = result.state;
+                *fuzzer_blob = result.fuzzer_blob;
+                Some(MemberReport {
+                    granted: slot.granted,
+                    covered_before: slot.covered_before,
+                    harvest: result.harvest,
+                })
             })
             .collect();
-        FleetResult {
-            members,
-            merged_curve: self.merged_curve,
-            corpus: self.corpus,
-            budgets: self.budgets,
-            metrics: self.metrics.snapshot(),
-            completed,
-            sink_error,
-        }
+        Ok(reports)
+    }
+
+    fn fuzzer_blobs(&self) -> Result<Cow<'_, [Vec<u8>]>, RunError> {
+        Ok(Cow::Borrowed(&self.fuzzer_blobs))
+    }
+
+    fn load_fuzzers(&mut self, blobs: Vec<Vec<u8>>) -> Result<(), RunError> {
+        self.fuzzer_blobs = blobs;
+        Ok(())
     }
 }
 
@@ -934,68 +859,12 @@ pub fn run_fleet_dist(
     dist: &DistConfig,
     launcher: &mut dyn WorkerLauncher,
 ) -> Result<FleetResult, RunError> {
-    if specs.is_empty() {
-        return Err(RunError::NoMembers);
-    }
-    let cfg = *spec.config();
-    if cfg.cases_per_epoch < specs.len() as u64 {
-        return Err(RunError::BudgetTooSmall {
-            members: specs.len(),
-            cases_per_epoch: cfg.cases_per_epoch,
-        });
-    }
-    let n = specs.len();
-
-    // Coordinator-side reference executors: one per distinct core,
-    // providing the coverage maps events and merges count against
-    // (identical to the maps worker pools build for the same core).
-    let mut executors: Vec<(CoreKind, Executor)> = Vec::new();
-    let mut map_slot: Vec<usize> = Vec::with_capacity(n);
-    for m in specs {
-        let pos = match executors.iter().position(|(c, _)| *c == m.core) {
-            Some(pos) => pos,
-            None => {
-                executors.push((
-                    m.core,
-                    Executor::builder(m.core)
-                        .max_steps(cfg.run.max_steps)
-                        .build(),
-                ));
-                executors.len() - 1
-            }
-        };
-        map_slot.push(pos);
-    }
-    let executors: Vec<Executor> = executors.into_iter().map(|(_, e)| e).collect();
-    let map_lens: Vec<usize> = map_slot
-        .iter()
-        .map(|&slot| executors[slot].coverage_map().len())
-        .collect();
-
-    let mut states: Vec<CampaignState> = map_lens
-        .iter()
-        .map(|&len| CampaignState::fresh(len))
-        .collect();
-    let save_blob = |state: &CampaignState| -> Result<Vec<u8>, PersistError> {
-        let mut blob = Vec::new();
-        state.save(&mut blob)?;
-        Ok(blob)
-    };
-    let mut state_blobs: Vec<Vec<u8>> = states
-        .iter()
-        .map(save_blob)
-        .collect::<Result<_, PersistError>>()?;
-    let mut fuzzer_blobs: Vec<Vec<u8>> = specs
-        .iter()
-        .map(|m| {
-            let fuzzer = m.fuzzer.build(m.seed);
-            let mut blob = Vec::new();
-            fuzzer.save_state(&mut blob)?;
-            Ok(blob)
-        })
-        .collect::<Result<_, PersistError>>()?;
-
-    let idents: Vec<MemberIdent> = specs
+    let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(PersistError::Io)?;
+    let addr = listener.local_addr().map_err(PersistError::Io)?;
+    listener.set_nonblocking(true).map_err(PersistError::Io)?;
+    let (tx, rx) = channel::<Msg>();
+    let mut coordinator = Coordinator::new(specs, spec.config().run, dist, launcher, addr, rx)?;
+    let idents = specs
         .iter()
         .map(|m| MemberIdent {
             core: m.core,
@@ -1003,35 +872,11 @@ pub fn run_fleet_dist(
             fuzzer: m.fuzzer.fuzzer_name().to_owned(),
         })
         .collect();
+    let mut engine = FleetEngine::start(spec, idents, &mut coordinator)?;
 
-    let mut metrics = Metrics::new();
-    let mut corpus = GlobalCorpus::new(spec.corpus_capacity());
-    let mut budgets = reallocate(cfg.cases_per_epoch, &vec![0; n]);
-    let mut merged_curve: Vec<FleetSample> = Vec::new();
-    let mut epoch = 0u64;
-    if let Some(snapshot) = spec.resume_from() {
-        let restored = restore_fleet_checkpoint_parts(snapshot, spec, &idents, &map_lens)?;
-        states = restored.states;
-        state_blobs = states
-            .iter()
-            .map(save_blob)
-            .collect::<Result<_, PersistError>>()?;
-        fuzzer_blobs = restored.fuzzer_blobs;
-        corpus = restored.corpus;
-        budgets = restored.budgets;
-        merged_curve = restored.merged_curve;
-        epoch = restored.epoch;
-        metrics = restored.metrics;
-    }
-
-    let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(PersistError::Io)?;
-    let addr = listener.local_addr().map_err(PersistError::Io)?;
-    listener.set_nonblocking(true).map_err(PersistError::Io)?;
-    let (tx, rx) = channel::<Msg>();
     let stop_accept = Arc::new(AtomicBool::new(false));
     let accept_handle = {
         let stop = Arc::clone(&stop_accept);
-        let tx = tx.clone();
         thread::Builder::new()
             .name(String::from("fleet-accept"))
             .spawn(move || loop {
@@ -1048,57 +893,20 @@ pub fn run_fleet_dist(
             })
             .map_err(PersistError::Io)?
     };
-
-    let now = Instant::now();
-    let mut coordinator = Coordinator {
-        specs,
-        spec,
-        dist,
-        launcher,
-        addr,
-        idents,
-        executors,
-        map_slot,
-        map_lens,
-        slots: (0..n)
-            .map(|_| Slot {
-                writer: None,
-                outstanding: None,
-                pending_grant: None,
-                granted: 0,
-                respawns_left: dist.max_respawns,
-                alive: true,
-                last_seen: now,
-            })
-            .collect(),
-        states,
-        state_blobs,
-        fuzzer_blobs,
-        covered_before: vec![0; n],
-        planned: vec![false; n],
-        results: (0..n).map(|_| None).collect(),
-        metrics,
-        corpus,
-        budgets,
-        merged_curve,
-        epoch,
-    };
-    for index in 0..n {
+    for index in 0..specs.len() {
         if coordinator.launcher.launch(index, &addr).is_err() {
             coordinator.slots[index].alive = false;
         }
     }
 
-    let ran = coordinator.run_epochs(&rx);
+    let ran = engine.run_epochs(&mut coordinator);
     // Snapshot, dismiss the workers and stop accepting, whether the
-    // epochs completed or errored (the checkpoint preserves progress).
-    let final_checkpoint = match spec.checkpoint() {
-        Some(policy) => coordinator.write_checkpoint(policy),
-        None => Ok(()),
-    };
-    for index in 0..n {
-        if let Some(writer) = coordinator.slots[index].writer.clone() {
-            let _ = send_frame(&writer, Payload::Shutdown);
+    // epochs completed or errored: a failed wait folds nothing, so the
+    // snapshot still sits on an epoch boundary and preserves progress.
+    let final_checkpoint = engine.write_final_checkpoint(&coordinator);
+    for slot in &coordinator.slots {
+        if let Some(writer) = &slot.writer {
+            let _ = send_frame(writer, Payload::Shutdown);
         }
     }
     coordinator.launcher.shutdown();
@@ -1106,6 +914,5 @@ pub fn run_fleet_dist(
     let _ = accept_handle.join();
     ran?;
     final_checkpoint?;
-    let completed = coordinator.epoch >= cfg.epochs;
-    Ok(coordinator.finish(completed))
+    Ok(engine.into_result())
 }

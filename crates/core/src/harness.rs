@@ -198,12 +198,6 @@ impl Executor {
         self.run(&TestBody::Asm(body.to_vec()))
     }
 
-    /// Runs a test-case body given as raw instruction words (for the
-    /// binary-level baseline fuzzers).
-    pub fn run_words(&mut self, body_words: &[u32]) -> CaseResult {
-        self.run(&TestBody::Words(body_words.to_vec()))
-    }
-
     /// `(hits, misses)` of this executor's predecode cache since
     /// construction.
     #[must_use]
@@ -265,7 +259,7 @@ impl Executor {
 
     /// Runs a prepared (assembled + predecoded) case on both sides and
     /// diffs the executions.
-    pub fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
+    fn run_prepared(&mut self, prepared: &PreparedCase) -> CaseResult {
         let program: &Program = &prepared.program;
         let image = &*prepared.image;
         let dut_started = std::time::Instant::now();
@@ -354,7 +348,7 @@ mod tests {
         // A valid addi plus garbage; both sides trap on the garbage the
         // same way, so no mismatch arises from it.
         let addi = Instruction::i(Opcode::Addi, Reg::X10, Reg::X0, 3).encode();
-        let result = ex.run_words(&[addi, 0xFFFF_FFFF]);
+        let result = ex.run(&TestBody::Words(vec![addi, 0xFFFF_FFFF]));
         assert_eq!(result.grm_arch.x[10], 3);
         assert!(result
             .grm_trace
