@@ -16,7 +16,7 @@ use crate::tensor::Tensor;
 /// t.grad = vec![1.0; 4];
 /// let mut adam = Adam::new(0.1);
 /// adam.step(&mut [&mut t]);
-/// assert!(t.data.iter().all(|&w| w < 0.0), "moved against the gradient");
+/// assert!(t.data().iter().all(|&w| w < 0.0), "moved against the gradient");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -71,7 +71,7 @@ impl Adam {
         // Global-norm clipping across all tensors.
         let scale = match self.clip_norm {
             Some(max) => {
-                let norm: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
+                let norm: f32 = grad_norms_sq(params).iter().sum::<f32>().sqrt();
                 if norm > max && norm > 0.0 {
                     max / norm
                 } else {
@@ -82,20 +82,58 @@ impl Adam {
         };
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         for p in params.iter_mut() {
-            for i in 0..p.data.len() {
-                let g = p.grad[i] * scale;
-                p.m[i] = self.beta1 * p.m[i] + (1.0 - self.beta1) * g;
-                p.v[i] = self.beta2 * p.v[i] + (1.0 - self.beta2) * g * g;
-                let mhat = p.m[i] / bc1;
-                let vhat = p.v[i] / bc2;
-                p.data[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            // One zipped pass per tensor: update, then clear the gradient.
+            // Every element is independent, so the compiler vectorises it
+            // with no reassociation (sqrt and division are exact per lane).
+            let (data, grad, m, v) = p.state_mut();
+            for (((w, g), m), v) in data.iter_mut().zip(grad).zip(m).zip(v) {
+                let gs = *g * scale;
+                *m = beta1 * *m + (1.0 - beta1) * gs;
+                *v = beta2 * *v + (1.0 - beta2) * gs * gs;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
+                *g = 0.0;
             }
-            p.zero_grad();
-            // The weights moved: any cached transposed copy is stale.
-            p.invalidate_transpose();
         }
     }
+}
+
+/// Every tensor's [`Tensor::grad_norm_sq`], bit for bit: each is still
+/// one chain of additions over its own elements in order. A chain is
+/// bound by the latency of each addition, so the tensors run four at a
+/// time, longest first, with the four chains interleaved over their common
+/// length.
+fn grad_norms_sq(params: &[&mut Tensor]) -> Vec<f32> {
+    let mut sums: Vec<f32> = vec![0.0; params.len()];
+    let mut order: Vec<usize> = (0..params.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(params[i].grad.len()));
+    for group in order.chunks(4) {
+        let grads: Vec<&[f32]> = group.iter().map(|&i| &params[i].grad[..]).collect();
+        let mut acc = [0.0f32; 4];
+        let mut done = 0;
+        if let [a, b, c, d] = grads[..] {
+            let n = d.len();
+            for (((a, b), c), d) in a[..n].iter().zip(&b[..n]).zip(&c[..n]).zip(d) {
+                acc[0] += a * a;
+                acc[1] += b * b;
+                acc[2] += c * c;
+                acc[3] += d * d;
+            }
+            done = n;
+        }
+        for ((&i, g), acc) in group.iter().zip(&grads).zip(&mut acc) {
+            // An empty gradient keeps `grad_norm_sq`'s own empty sum.
+            sums[i] = if g.is_empty() {
+                params[i].grad_norm_sq()
+            } else {
+                g[done..].iter().fold(*acc, |s, v| s + v * v)
+            };
+        }
+    }
+    sums
 }
 
 #[cfg(test)]
@@ -105,17 +143,16 @@ mod tests {
     /// Adam must minimise a simple quadratic.
     #[test]
     fn minimises_a_quadratic() {
-        let mut t = Tensor::zeros(1, 2);
-        t.data = vec![5.0, -3.0];
+        let mut t = Tensor::from_vec(1, 2, vec![5.0, -3.0]);
         let mut adam = Adam::new(0.1);
         for _ in 0..500 {
             // L = 0.5 * ||x - [1, 2]||^2, grad = x - [1,2]
-            t.grad[0] = t.data[0] - 1.0;
-            t.grad[1] = t.data[1] - 2.0;
+            t.grad[0] = t.data()[0] - 1.0;
+            t.grad[1] = t.data()[1] - 2.0;
             adam.step(&mut [&mut t]);
         }
-        assert!((t.data[0] - 1.0).abs() < 0.05, "{:?}", t.data);
-        assert!((t.data[1] - 2.0).abs() < 0.05, "{:?}", t.data);
+        assert!((t.data()[0] - 1.0).abs() < 0.05, "{:?}", t.data());
+        assert!((t.data()[1] - 2.0).abs() < 0.05, "{:?}", t.data());
         assert_eq!(adam.steps(), 500);
     }
 
@@ -138,7 +175,7 @@ mod tests {
         adam.clip_norm = Some(1.0);
         adam.step(&mut [&mut a, &mut b]);
         // With clipping, the first-step Adam update is bounded by lr.
-        assert!(a.data[0].abs() <= 0.11, "{}", a.data[0]);
+        assert!(a.data()[0].abs() <= 0.11, "{}", a.data()[0]);
     }
 
     #[test]
@@ -149,7 +186,7 @@ mod tests {
         let mut adam = Adam::new(0.01);
         adam.clip_norm = None;
         adam.step(&mut [&mut t]);
-        assert!(t.data[0].abs() <= 0.011);
+        assert!(t.data()[0].abs() <= 0.011);
     }
 
     #[test]

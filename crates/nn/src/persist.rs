@@ -604,7 +604,7 @@ impl Codec for Tensor {
         write_u64(w, self.cols as u64)?;
         // Weights plus Adam moments, so optimiser state survives a resume;
         // gradients are transient and rebuilt as zeros on load.
-        write_f32_array(w, &self.data)?;
+        write_f32_array(w, self.data())?;
         write_f32_array(w, &self.m)?;
         write_f32_array(w, &self.v)
     }
@@ -616,8 +616,7 @@ impl Codec for Tensor {
             .checked_mul(cols)
             .filter(|&n| n as u64 <= MAX_ELEMS)
             .ok_or_else(|| corrupt("tensor too large"))?;
-        let mut t = Tensor::zeros(rows, cols);
-        t.data = read_f32_array(r, n)?;
+        let mut t = Tensor::from_vec(rows, cols, read_f32_array(r, n)?);
         t.m = read_f32_array(r, n)?;
         t.v = read_f32_array(r, n)?;
         Ok(t)
@@ -874,7 +873,7 @@ mod tests {
         let back = Tensor::from_bytes(&bytes).unwrap();
         assert_eq!(back.rows, 7);
         assert_eq!(back.cols, 5);
-        assert_eq!(back.data, t.data);
+        assert_eq!(back.data(), t.data());
         assert_eq!(back.m, t.m, "first moment persisted");
         assert_eq!(back.v, t.v, "second moment persisted");
         assert!(back.grad.iter().all(|&g| g == 0.0), "gradients transient");
@@ -952,7 +951,7 @@ mod tests {
         t2.grad = vec![0.5, 0.25];
         adam.step(&mut [&mut t]);
         adam2.step(&mut [&mut t2]);
-        assert_eq!(t.data, t2.data, "bit-identical resumed update");
+        assert_eq!(t.data(), t2.data(), "bit-identical resumed update");
         assert_eq!(t.m, t2.m);
         assert_eq!(t.v, t2.v);
     }

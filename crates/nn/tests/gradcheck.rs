@@ -2,13 +2,60 @@
 //! the in-module unit tests check internals, these pin the exported
 //! surface: `Lstm::backward_seq`, `Linear::backward`,
 //! `Embedding::backward` and the direction of an `Adam` step.
+//!
+//! Every check compares a central difference against the analytic
+//! gradient with [`assert_gradient`]: a relative tolerance over a small
+//! absolute noise floor, and agreement in sign wherever the analytic
+//! gradient stands above that floor. The gradients checked here are of
+//! order 1e-3, so an absolute tolerance would pass a numeric gradient of
+//! exactly zero, which is what a forward pass reading stale weights
+//! produces.
 
 use hfl_nn::{Adam, Embedding, Linear, Lstm, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const EPS: f32 = 1e-2;
-const TOL: f32 = 3e-2;
+/// Allowed relative error of the numeric gradient. The largest seen on
+/// these losses is 1.3e-3 (the `EPS²` truncation term).
+const RTOL: f32 = 0.02;
+/// Absolute noise floor of an f32 central difference on these losses:
+/// the largest disagreement seen below a gradient of 1e-4 is 7e-9.
+const NOISE: f32 = 1e-6;
+
+/// Asserts that `numeric` matches `analytic` within `RTOL` relative error
+/// plus the `NOISE` floor, and has the same sign when `|analytic|` is above
+/// the floor.
+fn assert_gradient(what: &str, analytic: f32, numeric: f32) {
+    assert!(
+        (numeric - analytic).abs() <= RTOL * analytic.abs() + NOISE,
+        "{what}: analytic {analytic} vs numeric {numeric}"
+    );
+    if analytic.abs() > NOISE {
+        assert_eq!(
+            numeric.is_sign_positive(),
+            analytic.is_sign_positive(),
+            "{what}: analytic {analytic} and numeric {numeric} disagree in sign"
+        );
+    }
+}
+
+/// Central difference of `loss` in element `idx` of the tensor `pick`
+/// selects, restoring the element afterwards.
+fn numeric_gradient<M>(
+    model: &mut M,
+    pick: impl Fn(&mut M) -> &mut Tensor,
+    idx: usize,
+    loss: impl Fn(&M) -> f32,
+) -> f32 {
+    let orig = pick(model).data()[idx];
+    pick(model).data_mut()[idx] = orig + EPS;
+    let lp = loss(model);
+    pick(model).data_mut()[idx] = orig - EPS;
+    let lm = loss(model);
+    pick(model).data_mut()[idx] = orig;
+    (lp - lm) / (2.0 * EPS)
+}
 
 fn toy_sequence(seq: usize, dim: usize) -> Vec<Vec<f32>> {
     (0..seq)
@@ -20,21 +67,22 @@ fn toy_sequence(seq: usize, dim: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Half the squared norm of every timestep's top hidden vector, so
+/// dL/dh_t = h_t.
+fn lstm_loss(l: &Lstm, xs: &[Vec<f32>]) -> f32 {
+    l.forward_seq(xs)
+        .outputs
+        .iter()
+        .flat_map(|h| h.iter())
+        .map(|v| v * v)
+        .sum::<f32>()
+        * 0.5
+}
+
 #[test]
 fn lstm_backward_seq_matches_finite_differences() {
     let mut lstm = Lstm::new(3, 4, 2, &mut StdRng::seed_from_u64(11));
     let xs = toy_sequence(4, 3);
-    // Loss: half the squared norm of every timestep's top hidden vector,
-    // so dL/dh_t = h_t.
-    let loss = |l: &Lstm| -> f32 {
-        l.forward_seq(&xs)
-            .outputs
-            .iter()
-            .flat_map(|h| h.iter())
-            .map(|v| v * v)
-            .sum::<f32>()
-            * 0.5
-    };
     let trace = lstm.forward_seq(&xs);
     let d_out = trace.outputs.clone();
     let dxs = lstm.backward_seq(&trace, &d_out);
@@ -52,17 +100,16 @@ fn lstm_backward_seq_matches_finite_differences() {
             let len = tensor_of(&mut lstm, layer, t_idx).len();
             for idx in (0..len).step_by(stride) {
                 let analytic = tensor_of(&mut lstm, layer, t_idx).grad[idx];
-                let orig = tensor_of(&mut lstm, layer, t_idx).data[idx];
-                tensor_of(&mut lstm, layer, t_idx).data[idx] = orig + EPS;
-                let lp = loss(&lstm);
-                tensor_of(&mut lstm, layer, t_idx).data[idx] = orig - EPS;
-                let lm = loss(&lstm);
-                tensor_of(&mut lstm, layer, t_idx).data[idx] = orig;
-                let numeric = (lp - lm) / (2.0 * EPS);
-                assert!(
-                    (numeric - analytic).abs() < TOL,
-                    "layer {layer} tensor {t_idx} [{idx}]: analytic {analytic} vs numeric \
-                     {numeric}"
+                let numeric = numeric_gradient(
+                    &mut lstm,
+                    |l| tensor_of(l, layer, t_idx),
+                    idx,
+                    |l| lstm_loss(l, &xs),
+                );
+                assert_gradient(
+                    &format!("layer {layer} tensor {t_idx} [{idx}]"),
+                    analytic,
+                    numeric,
                 );
             }
         }
@@ -74,21 +121,8 @@ fn lstm_backward_seq_matches_finite_differences() {
             xp[t][i] += EPS;
             let mut xm = xs.clone();
             xm[t][i] -= EPS;
-            let probe = |seq: &[Vec<f32>]| -> f32 {
-                lstm.forward_seq(seq)
-                    .outputs
-                    .iter()
-                    .flat_map(|h| h.iter())
-                    .map(|v| v * v)
-                    .sum::<f32>()
-                    * 0.5
-            };
-            let numeric = (probe(&xp) - probe(&xm)) / (2.0 * EPS);
-            assert!(
-                (numeric - dxs[t][i]).abs() < TOL,
-                "dx[{t}][{i}]: analytic {} vs numeric {numeric}",
-                dxs[t][i]
-            );
+            let numeric = (lstm_loss(&lstm, &xp) - lstm_loss(&lstm, &xm)) / (2.0 * EPS);
+            assert_gradient(&format!("dx[{t}][{i}]"), dxs[t][i], numeric);
         }
     }
 }
@@ -103,32 +137,12 @@ fn linear_backward_matches_finite_differences() {
     let dx = layer.backward(&x, &y);
 
     for idx in 0..layer.w.len() {
-        let orig = layer.w.data[idx];
-        layer.w.data[idx] = orig + EPS;
-        let lp = loss(&layer, &x);
-        layer.w.data[idx] = orig - EPS;
-        let lm = loss(&layer, &x);
-        layer.w.data[idx] = orig;
-        let numeric = (lp - lm) / (2.0 * EPS);
-        assert!(
-            (numeric - layer.w.grad[idx]).abs() < TOL,
-            "w[{idx}]: analytic {} vs numeric {numeric}",
-            layer.w.grad[idx]
-        );
+        let numeric = numeric_gradient(&mut layer, |l| &mut l.w, idx, |l| loss(l, &x));
+        assert_gradient(&format!("w[{idx}]"), layer.w.grad[idx], numeric);
     }
     for idx in 0..layer.b.len() {
-        let orig = layer.b.data[idx];
-        layer.b.data[idx] = orig + EPS;
-        let lp = loss(&layer, &x);
-        layer.b.data[idx] = orig - EPS;
-        let lm = loss(&layer, &x);
-        layer.b.data[idx] = orig;
-        let numeric = (lp - lm) / (2.0 * EPS);
-        assert!(
-            (numeric - layer.b.grad[idx]).abs() < TOL,
-            "b[{idx}]: analytic {} vs numeric {numeric}",
-            layer.b.grad[idx]
-        );
+        let numeric = numeric_gradient(&mut layer, |l| &mut l.b, idx, |l| loss(l, &x));
+        assert_gradient(&format!("b[{idx}]"), layer.b.grad[idx], numeric);
     }
     for i in 0..x.len() {
         let mut xp = x.clone();
@@ -136,11 +150,7 @@ fn linear_backward_matches_finite_differences() {
         let mut xm = x.clone();
         xm[i] -= EPS;
         let numeric = (loss(&layer, &xp) - loss(&layer, &xm)) / (2.0 * EPS);
-        assert!(
-            (numeric - dx[i]).abs() < TOL,
-            "dx[{i}]: analytic {} vs numeric {numeric}",
-            dx[i]
-        );
+        assert_gradient(&format!("dx[{i}]"), dx[i], numeric);
     }
 }
 
@@ -153,18 +163,8 @@ fn embedding_backward_matches_finite_differences() {
     emb.backward(token, &dvec);
 
     for idx in 0..emb.table.len() {
-        let orig = emb.table.data[idx];
-        emb.table.data[idx] = orig + EPS;
-        let lp = loss(&emb);
-        emb.table.data[idx] = orig - EPS;
-        let lm = loss(&emb);
-        emb.table.data[idx] = orig;
-        let numeric = (lp - lm) / (2.0 * EPS);
-        assert!(
-            (numeric - emb.table.grad[idx]).abs() < TOL,
-            "table[{idx}]: analytic {} vs numeric {numeric}",
-            emb.table.grad[idx]
-        );
+        let numeric = numeric_gradient(&mut emb, |e| &mut e.table, idx, loss);
+        assert_gradient(&format!("table[{idx}]"), emb.table.grad[idx], numeric);
     }
     // Rows other than the looked-up token carry exactly zero gradient.
     let dim = emb.dim();
@@ -186,16 +186,15 @@ fn adam_first_step_moves_against_the_gradient_at_lr_scale() {
     // On the first step, mhat/√vhat = sign(g), so every coordinate moves
     // by ≈ lr against its gradient — regardless of the gradient's size.
     let lr = 0.05f32;
-    let mut t = Tensor::zeros(2, 2);
-    t.data = vec![1.0, -2.0, 0.5, 3.0];
+    let mut t = Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.5, 3.0]);
     t.grad = vec![10.0, -0.003, 7.5, -42.0];
-    let before = t.data.clone();
+    let before = t.data().to_vec();
     let grad = t.grad.clone();
     let mut adam = Adam::new(lr);
     adam.clip_norm = None;
     adam.step(&mut [&mut t]);
     for i in 0..4 {
-        let moved = t.data[i] - before[i];
+        let moved = t.data()[i] - before[i];
         assert!(
             moved * grad[i] < 0.0,
             "coordinate {i} moved with the gradient: Δ={moved}, g={}",
