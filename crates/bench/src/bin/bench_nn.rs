@@ -1,7 +1,8 @@
 //! NN hot-path baseline: measures the same shapes as
 //! `benches/nn_hot_path.rs` with plain `Instant` timing (the vendored
 //! criterion prints but does not expose numbers) and emits / checks the
-//! machine-readable `BENCH_nn.json` baseline.
+//! machine-readable `BENCH_nn.json` baseline. It also prints `train_case`
+//! at the paper's hidden size (256), which is neither written nor gated.
 //!
 //! ```text
 //! cargo run --release -p hfl-bench --bin bench_nn -- \
@@ -137,7 +138,21 @@ fn measure(scale: f64) -> Baseline {
         5,
     );
 
-    let mut train_cp = CoveragePredictor::new(PredictorConfig::small(), N_POINTS, &mut rng);
+    let train_case_ns = time_train_case(PredictorConfig::small(), it(20), &mut rng);
+
+    Baseline {
+        token_step_ns,
+        screened_k8_sequential_ns,
+        screened_k8_batched_ns,
+        screen_speedup: screened_k8_sequential_ns / screened_k8_batched_ns,
+        train_case_ns,
+    }
+}
+
+/// Median nanoseconds of one `CoveragePredictor::train_case` on a
+/// 24-token sequence against `N_POINTS` labels.
+fn time_train_case(cfg: PredictorConfig, iters: u32, rng: &mut StdRng) -> f64 {
+    let mut train_cp = CoveragePredictor::new(cfg, N_POINTS, rng);
     let mut adam = Adam::new(1e-4);
     let sequence: Vec<Tokens> = (0..24)
         .map(|i| {
@@ -147,21 +162,13 @@ fn measure(scale: f64) -> Baseline {
     let labels: Vec<f32> = (0..N_POINTS)
         .map(|i| f32::from(u8::from(i % 3 == 0)))
         .collect();
-    let train_case_ns = time_ns(
+    time_ns(
         || {
             std::hint::black_box(train_cp.train_case(&sequence, &labels, &mut adam));
         },
-        it(20),
+        iters,
         5,
-    );
-
-    Baseline {
-        token_step_ns,
-        screened_k8_sequential_ns,
-        screened_k8_batched_ns,
-        screen_speedup: screened_k8_sequential_ns / screened_k8_batched_ns,
-        train_case_ns,
-    }
+    )
 }
 
 fn main() {
@@ -178,6 +185,14 @@ fn main() {
         b.screened_k8_sequential_ns, b.screened_k8_batched_ns, b.screen_speedup
     );
     println!("  train_case (seq 24)   {:>12.0} ns", b.train_case_ns);
+    // The paper's size (§V-A), printed for the ledger and never gated.
+    let paper = PredictorConfig::paper_default();
+    let iters = ((5.0 * scale).ceil() as u32).max(1);
+    let train_case_256_ns = time_train_case(paper, iters, &mut StdRng::seed_from_u64(2));
+    println!(
+        "  train_case hidden {}  {:>12.0} ns (seq 24, ungated)",
+        paper.hidden, train_case_256_ns
+    );
 
     let mut failed = false;
     if require_speedup > 0.0 && b.screen_speedup < require_speedup {
